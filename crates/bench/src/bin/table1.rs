@@ -11,8 +11,7 @@
 //! On top of the paper's columns this binary tracks the codec trajectory:
 //! per-workload v1-vs-v2 profile bytes and the wall time of the
 //! post-mortem merge, both streamed (out-of-core over encoded profiles)
-//! and in-memory — emitted as a machine-readable `BENCH_JSON` line for
-//! `scripts/bench_codec.sh`.
+//! and in-memory.
 
 use std::time::Instant;
 
@@ -286,8 +285,6 @@ fn main() {
     }
     let v1_total: usize = rows.iter().map(|r| r.overhead.run.profile_bytes_v1).sum();
     let v2_total: usize = rows.iter().map(|r| r.overhead.run.profile_bytes).sum();
-    let merge_ms: f64 = rows.iter().map(|r| r.merge_streamed_ms).sum();
-    let merge_mem_ms: f64 = rows.iter().map(|r| r.merge_in_mem_ms).sum();
     println!(
         "total: v1 {} B -> v2 {} B ({:.1}% saved)",
         v1_total,
@@ -341,20 +338,4 @@ fn main() {
             );
         }
     }
-
-    // Machine-readable summary for scripts/bench_codec.sh.
-    let mut json = format!(
-        "BENCH_JSON {{\"v1_bytes\": {v1_total}, \"v2_bytes\": {v2_total}, \
-         \"saved_pct\": {:.2}, \"merge_streamed_ms\": {merge_ms:.3}, \
-         \"merge_in_mem_ms\": {merge_mem_ms:.3}, \"host_threads\": {slots}, \
-         \"parallel_host_secs\": {total_secs:.4}",
-        100.0 * (1.0 - v2_total as f64 / v1_total.max(1) as f64)
-    );
-    if let (Some(s), Some(e)) = (serial_secs, efficiency) {
-        json.push_str(&format!(
-            ", \"serial_host_secs\": {s:.4}, \"parallel_efficiency\": {e:.3}"
-        ));
-    }
-    json.push('}');
-    println!("{json}");
 }

@@ -1,9 +1,9 @@
 //! # dcp-bench — reproduction harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! criterion micro-benchmarks of the profiler's own data structures
-//! (`benches/`). The binaries print the regenerated rows/series next to
-//! the paper's reported values; EXPERIMENTS.md records both.
+//! One binary per table/figure of the paper (see `src/bin/`). The
+//! binaries print the regenerated rows/series next to the paper's
+//! reported values; EXPERIMENTS.md records both. Performance is measured
+//! by the separate `benchmark/` package, which reuses the helpers here.
 
 use dcp_core::prelude::*;
 use dcp_machine::{Cycles, MarkedEvent, PmuConfig};
@@ -32,9 +32,9 @@ pub fn profile_with(
 
 /// Hash everything a perf change must not alter about a profiled run:
 /// per-node machine stats, node wall clocks, DRAM histograms, op counts,
-/// and every encoded v2 profile blob. Shared by `sim_bench` (run-to-run
-/// and serial-vs-parallel determinism) and `fingerprint` (the
-/// `DCP_THREADS` invariance harness behind `tests/thread_invariance.rs`).
+/// and every encoded v2 profile blob. Shared by `fingerprint` (the
+/// `DCP_THREADS` invariance harness behind `tests/thread_invariance.rs`)
+/// and the `benchmark/` package's output checks.
 pub fn run_fingerprint(prog: &Program, run: &dcp_core::session::ProfiledRun) -> u64 {
     use std::hash::Hasher;
     let mut h = dcp_support::FxHasher::default();

@@ -549,11 +549,10 @@ impl StoredAccumulator {
         })
     }
 
-    /// The pre-incremental snapshot: fold, then deep-clone every class
-    /// tree and every symbol table. Byte-identical output to
-    /// [`snapshot`](Self::snapshot); kept so the serve bench can run a
-    /// baseline daemon that pays the old per-epoch cost.
-    pub fn snapshot_cloned(&mut self) -> Result<StoredProfiles, CodecError> {
+    /// Test oracle for [`snapshot`](Self::snapshot): fold, then
+    /// deep-clone every class tree and every symbol table.
+    #[cfg(test)]
+    fn snapshot_cloned(&mut self) -> Result<StoredProfiles, CodecError> {
         self.fold()?;
         let mut trees = Vec::with_capacity(CLASSES);
         for inc in self.merges_mut() {
@@ -570,10 +569,10 @@ impl StoredAccumulator {
         })
     }
 
-    /// The pre-incremental state encoding: fold, then re-encode every
-    /// class from its tree, ignoring the cache. Byte-identical output to
-    /// [`encode_state`](Self::encode_state); the serve bench's baseline.
-    pub fn encode_state_recoded(&mut self) -> Result<Bytes, CodecError> {
+    /// Test oracle for [`encode_state`](Self::encode_state): fold, then
+    /// re-encode every class from its tree, ignoring the cache.
+    #[cfg(test)]
+    fn encode_state_recoded(&mut self) -> Result<Bytes, CodecError> {
         self.fold()?;
         let mut buf = BytesMut::new();
         buf.put_slice(BUNDLE_MAGIC);
@@ -981,6 +980,41 @@ mod tests {
             encode_bundle(&slow.to_bundle().expect("valid"))
         );
         assert_eq!(fast.dirty_rebuilds(), rebuilds, "clean encode must not rebuild");
+    }
+
+    #[test]
+    fn incremental_reads_match_the_recode_and_clone_oracles() {
+        // A clean ingest touching several classes, then heap-only deltas:
+        // after every epoch the cached-splice encoding and the shared-tree
+        // snapshot must equal the re-encode-everything and
+        // deep-clone-everything oracles byte for byte.
+        let prog = program();
+        let mut acc = StoredAccumulator::new();
+        let first = bundle_from_measurement(&prog, &measured(&prog, 0));
+        let touched = first.profiles.iter().filter(|c| !c.is_empty()).count() as u64;
+        assert!(touched > 1, "the clean ingest must span several classes");
+        acc.ingest(first);
+        for epoch in 0..4 {
+            if epoch > 0 {
+                let mut delta = bundle_from_measurement(&prog, &measured(&prog, epoch));
+                for c in StorageClass::ALL.into_iter().filter(|&c| c != StorageClass::Heap) {
+                    delta.profiles[c.idx()].clear();
+                }
+                acc.ingest(delta);
+            }
+            assert_eq!(
+                acc.encode_state().expect("valid"),
+                acc.encode_state_recoded().expect("valid"),
+                "epoch {epoch}"
+            );
+            let shared = acc.snapshot().expect("valid");
+            let cloned = acc.snapshot_cloned().expect("valid");
+            for c in StorageClass::ALL {
+                assert_eq!(shared.export(c), cloned.export(c), "epoch {epoch} class {c:?}");
+            }
+        }
+        // Each heap-only delta rebuilt exactly one class.
+        assert_eq!(acc.dirty_rebuilds(), touched + 3);
     }
 
     /// A hand-assembled bundle with no profile blobs and the given name

@@ -33,7 +33,7 @@
 //! is taken once and the fsync once for the whole window. Setting
 //! [`ServerConfig::group_commit`] to false restores the strict
 //! one-fsync-per-record ordering (append+fsync under the lock before
-//! apply) — the measured baseline in `serve_bench`'s durable phase.
+//! apply); `tests/loopback.rs` pins both orderings byte-identical.
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
@@ -91,11 +91,6 @@ pub struct ServerConfig {
     /// single decode+commit group (a windowed client's pipelined
     /// pushes). 1 disables socket batching.
     pub ingest_group: usize,
-    /// Serve snapshots/partials through the incremental read path (see
-    /// [`StoreConfig::incremental_read`]). False restores the
-    /// deep-clone/re-encode baseline — byte-identical output, old cost;
-    /// the measured baseline in `serve_bench`'s interleaved phase.
-    pub incremental_read: bool,
 }
 
 impl Default for ServerConfig {
@@ -114,7 +109,6 @@ impl Default for ServerConfig {
             snapshot_every: 0,
             group_commit: true,
             ingest_group: 64,
-            incremental_read: true,
         }
     }
 }
@@ -150,7 +144,6 @@ impl Server {
             pending_cap: config.pending_cap,
             cache_entries: config.cache_entries,
             cache_bytes: config.cache_bytes,
-            incremental_read: config.incremental_read,
         });
         let mut recovery = None;
         let durability = match &config.data_dir {

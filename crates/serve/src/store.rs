@@ -63,11 +63,6 @@ pub struct StoreConfig {
     pub cache_entries: usize,
     /// Response cache byte cap.
     pub cache_bytes: usize,
-    /// Serve snapshots and partials through the incremental read path
-    /// (shared trees, cached per-class encodings). `false` restores the
-    /// pre-incremental deep-clone/re-encode behavior — byte-identical
-    /// output, old cost — as the differential baseline for the bench.
-    pub incremental_read: bool,
 }
 
 impl Default for StoreConfig {
@@ -77,7 +72,6 @@ impl Default for StoreConfig {
             pending_cap: 64 * 1024 * 1024,
             cache_entries: 512,
             cache_bytes: 16 * 1024 * 1024,
-            incremental_read: true,
         }
     }
 }
@@ -507,8 +501,7 @@ impl ProfileStore {
 
     /// A renderable snapshot of `set` at its current epoch. Snapshots
     /// are cached per epoch; a cold epoch folds only the classes the
-    /// commits actually touched and hands out shared trees for the rest
-    /// (deep-cloning everything instead when `incremental_read` is off).
+    /// commits actually touched and hands out shared trees for the rest.
     pub fn snapshot(&mut self, set: &str) -> Result<Arc<StoredProfiles>, ServeError> {
         let entry = self
             .sets
@@ -520,19 +513,14 @@ impl ProfileStore {
         }
         // Bundles were validated at decode time, so a fold error here is
         // unreachable in practice; surface it typed anyway.
-        let snap = Arc::new(if self.config.incremental_read {
-            entry.acc.snapshot()?
-        } else {
-            entry.acc.snapshot_cloned()?
-        });
+        let snap = Arc::new(entry.acc.snapshot()?);
         entry.snapshot = Some(Arc::clone(&snap));
         Ok(snap)
     }
 
     /// The named set's shard-local partial, encoded for a `DATA` frame.
     /// Cached per epoch alongside the snapshot; a cold epoch re-encodes
-    /// only the dirty classes and splices cached bytes for the rest
-    /// (re-encoding every class when `incremental_read` is off).
+    /// only the dirty classes and splices cached bytes for the rest.
     pub fn partial(&mut self, set: &str) -> Result<Bytes, ServeError> {
         let entry = self
             .sets
@@ -542,11 +530,7 @@ impl ProfileStore {
             self.partial_reuse += 1;
             return Ok(p.clone());
         }
-        let state = if self.config.incremental_read {
-            entry.acc.encode_state()?
-        } else {
-            entry.acc.encode_state_recoded()?
-        };
+        let state = entry.acc.encode_state()?;
         let encoded = encode_set_partial(&SetPartial {
             epoch: entry.epoch,
             bundles: entry.acc.bundles(),

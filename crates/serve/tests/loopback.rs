@@ -394,6 +394,85 @@ fn restart_mid_stream_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Push `bundles` into the daemon at `addr` from two racing clients,
+/// each taking every other explicit sequence number. `window` 0 awaits
+/// every ack before the next push; otherwise each client keeps that
+/// many pushes in flight.
+fn push_interleaved(addr: &str, set: &str, bundles: &[Bytes], window: usize) {
+    let clients = 2;
+    let threads: Vec<_> = (0..clients)
+        .map(|c| {
+            let (addr, set) = (addr.to_string(), set.to_string());
+            let mine: Vec<(u64, Bytes)> = (c..bundles.len())
+                .step_by(clients)
+                .map(|i| (i as u64, bundles[i].clone()))
+                .collect();
+            std::thread::spawn(move || {
+                let mut cl = Client::connect(&addr).expect("connect");
+                if window == 0 {
+                    for (seq, blob) in mine {
+                        cl.ingest(&set, Some(seq), blob).expect("ingest");
+                    }
+                    return;
+                }
+                let mut pipe = cl.pipeline(window);
+                for (seq, blob) in mine {
+                    if let Some(ack) = pipe.push(&set, Some(seq), blob).expect("push") {
+                        ack.expect("ingest refused");
+                    }
+                }
+                for ack in pipe.drain().expect("drain") {
+                    ack.expect("ingest refused");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("ingest client");
+    }
+}
+
+#[test]
+fn group_commit_serves_the_same_bytes_as_per_record_fsync_and_memory() {
+    // The write discipline must never reach the served bytes: one
+    // fsync per record with strict acks, group commit fed by pipelined
+    // windows, and no WAL at all answer every view identically.
+    let bundles: Vec<Bytes> = (0..24u64).map(|s| encode_bundle(&bundle(s))).collect();
+    let queries =
+        ["export g heap", "export g static", "ranking g samples", "vars g samples", "sets"];
+    let dir = std::env::temp_dir().join(format!("dcp-loopback-group-{}", std::process::id()));
+    let durable = ServerConfig { data_dir: Some(dir.clone()), ..ServerConfig::default() };
+    // Per-record fsync means no socket batching either.
+    let per_record = ServerConfig { group_commit: false, ingest_group: 1, ..durable.clone() };
+    let memory = ServerConfig::default();
+    let mut served = Vec::new();
+    for (mode, config, window) in
+        [("per-record", per_record, 0), ("group", durable, 8), ("memory", memory, 0)]
+    {
+        let _ = std::fs::remove_dir_all(&dir);
+        let (addr, handle) = spawn_server(config);
+        push_interleaved(&addr, "g", &bundles, window);
+        let mut cl = Client::connect(&addr).expect("connect");
+        let answers: Vec<String> = queries.iter().map(|q| cl.query(q).expect(q)).collect();
+        let stats = cl.stats().expect("stats");
+        assert_eq!(
+            stats.contains("wal_batches "),
+            mode == "group",
+            "{mode}: only the group-commit daemon runs the batcher: {stats}"
+        );
+        drop(cl);
+        shutdown(&addr, handle);
+        served.push((mode, answers));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(served[0].1[4].contains("g bundles=24 epoch=24 gap=0"), "{}", served[0].1[4]);
+    for (mode, answers) in &served[1..] {
+        for (q, (want, got)) in queries.iter().zip(served[0].1.iter().zip(answers)) {
+            assert_eq!(got, want, "{mode} daemon diverges from per-record fsync on {q:?}");
+        }
+    }
+}
+
 #[test]
 fn shutdown_drains_and_refuses_new_work() {
     let (addr, handle) = spawn_server(ServerConfig::default());

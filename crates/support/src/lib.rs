@@ -22,10 +22,6 @@
 //!   reduction-tree merge and the world runner),
 //! * [`prop`] — a minimal property-testing framework with the
 //!   [`props!`](crate::props) macro (replaces `proptest`),
-//! * [`bench`] — a criterion-shaped micro-benchmark harness with the
-//!   [`criterion_group!`](crate::criterion_group) /
-//!   [`criterion_main!`](crate::criterion_main) macros (replaces
-//!   `criterion`),
 //! * [`ring`] — a consistent-hash ring ([`HashRing`]) for stable
 //!   set → shard placement in the sharded serving tier,
 //! * [`sync`] — a poison-recovering [`sync::Mutex`] for always-on
@@ -42,7 +38,6 @@
 //! is scheduled.
 
 pub mod batch;
-pub mod bench;
 pub mod bytes;
 pub mod cache;
 pub mod hash;
