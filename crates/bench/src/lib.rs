@@ -1,13 +1,14 @@
 //! # dcp-bench — reproduction harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`). The
-//! binaries print the regenerated rows/series next to the paper's
-//! reported values; EXPERIMENTS.md records both. Performance is measured
-//! by the separate `benchmark/` package, which reuses the helpers here.
+//! [`reproduce`] holds the paper's evaluation as one table of
+//! experiments; the `reproduce` binary regenerates and checks the
+//! measured blocks of EXPERIMENTS.md. Performance is measured by the
+//! separate `benchmark/` package, which reuses the helpers here.
 
-use dcp_core::prelude::*;
-use dcp_machine::{Cycles, MarkedEvent, PmuConfig};
-use dcp_runtime::{Program, WorldConfig};
+use dcp_machine::{MarkedEvent, PmuConfig};
+use dcp_runtime::Program;
+
+pub mod reproduce;
 
 /// Default marked-event sampling used by the POWER7-style studies.
 pub fn rmem_sampling(threshold: u64) -> PmuConfig {
@@ -17,17 +18,6 @@ pub fn rmem_sampling(threshold: u64) -> PmuConfig {
 /// Default IBS sampling used by the AMD-style studies.
 pub fn ibs_sampling(period: u64) -> PmuConfig {
     PmuConfig::Ibs { period, skid: 2 }
-}
-
-/// Run baseline + profiled and return the overhead measurement.
-pub fn profile_with(
-    program: &Program,
-    world: &WorldConfig,
-    pmu: PmuConfig,
-) -> dcp_core::session::Overhead {
-    let mut w = world.clone();
-    w.sim.pmu = Some(pmu);
-    measure_overhead(program, &w, ProfilerConfig::default())
 }
 
 /// Hash everything a perf change must not alter about a profiled run:
@@ -95,36 +85,4 @@ pub fn run_fingerprint(prog: &Program, run: &dcp_core::session::ProfiledRun) -> 
         }
     }
     h.finish()
-}
-
-/// Simulated cycles rendered as seconds at a nominal 3 GHz clock — the
-/// unit the paper's tables use.
-pub fn secs(cycles: Cycles) -> f64 {
-    cycles as f64 / 3.0e9
-}
-
-/// Percent-difference helper: how much faster `new` is than `old`.
-pub fn speedup_pct(old: Cycles, new: Cycles) -> f64 {
-    100.0 * (old as f64 - new as f64) / old as f64
-}
-
-/// Render one paper-vs-measured comparison line.
-pub fn compare_line(label: &str, paper: &str, measured: String) -> String {
-    format!("{label:<46} paper: {paper:<20} measured: {measured}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn speedup_pct_basics() {
-        assert!((speedup_pct(100, 85) - 15.0).abs() < 1e-9);
-        assert!((speedup_pct(200, 200)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn secs_scaling() {
-        assert!((secs(3_000_000_000) - 1.0).abs() < 1e-12);
-    }
 }

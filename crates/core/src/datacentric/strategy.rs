@@ -12,8 +12,8 @@
 //! 3. **Trampoline** — mark the least-common-ancestor frame of temporally
 //!    adjacent allocations so each unwind only walks the changed suffix.
 //!
-//! The ablation benchmark (`ablation_tracking`) toggles these knobs and
-//! regenerates the 150% → <10% overhead reduction.
+//! The reproduction's A1 experiment (`reproduce A1`) toggles these knobs
+//! and regenerates the paper's 150% → <10% overhead reduction.
 
 use dcp_machine::Cycles;
 use dcp_runtime::FrameInfo;

@@ -230,3 +230,10 @@ cluster_b="$(DCP_THREADS=4 ./target/release/fingerprint cluster_halo cluster_hyp
 [ "$cluster_a" = "$cluster_b" ] \
     || { echo "verify: cluster fingerprint depends on DCP_THREADS" >&2; exit 1; }
 echo "verify: cluster fabric smoke stage ok (thread-invariant fingerprints)" >&2
+
+# Reproduction stage: every paper experiment at paper size, checked
+# against the blocks committed in EXPERIMENTS.md. Fails, naming the
+# experiment, on a false shape claim or a changed number.
+repro_start="$(date +%s)"
+cargo run -q --release --offline -p dcp-bench --bin reproduce -- --check
+echo "verify: reproduction stage ok ($(( $(date +%s) - repro_start )) s, every claim holds, EXPERIMENTS.md byte-identical)" >&2
