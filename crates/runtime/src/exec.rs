@@ -10,7 +10,7 @@
 use dcp_machine::{CoreId, Cycles, DataSource, DomainId, Pmu};
 
 use crate::ir::{Cmp, Expr, Ip, LocalId, ProcId, Spanned};
-use crate::observer::FrameInfo;
+use crate::observer::{FrameInfo, ThreadView};
 
 /// Cycle costs of non-memory operations. Tuned for plausibility, not for
 /// matching any specific microarchitecture; only ratios matter for the
@@ -276,6 +276,18 @@ impl<'p> ThreadState<'p> {
             }
         }
         self.frames.is_empty()
+    }
+
+    /// The observer's view of this thread, executing `leaf_ip`.
+    pub fn view_at(&self, leaf_ip: Ip) -> ThreadView<'_> {
+        ThreadView {
+            rank: self.rank,
+            thread: self.thread,
+            core: self.core,
+            clock: self.clock,
+            frames: &self.view,
+            leaf_ip,
+        }
     }
 
     /// Locals of the executing frame (read-only).

@@ -606,6 +606,65 @@ mod tests {
         }
     }
 
+    /// Serialized statements (allocation, free, realloc, phase markers)
+    /// last in every kind of block — a `for_` body, both `if_` arms, a
+    /// callee, an outlined region body — and first in a region body. The
+    /// shard parks on each and the commit runs it, then hands the thread
+    /// back at the block exit. Period-1 IBS makes the commit-side calloc
+    /// zero-fill and realloc copy feed the sampler too.
+    #[test]
+    fn serialized_statements_at_block_boundaries() {
+        let mut b = ProgramBuilder::new("t");
+        let grow = b.proc("grow", 1, |p| {
+            let buf = p.param(0);
+            p.store(l(buf), c(0), 8);
+            p.realloc(l(buf), c(8192), "grown");
+        });
+        let region = b.outlined("region", 0, |p| {
+            let t = p.malloc(c(512), "scratch");
+            p.store(l(t), c(0), 8);
+            p.free(l(t));
+        });
+        let main = b.proc("main", 0, |p| {
+            p.for_(c(0), c(3), |p, i| {
+                p.if_(
+                    l(i),
+                    Cmp::Lt,
+                    c(2),
+                    |p| {
+                        let z = p.calloc(c(1024), "zeroed");
+                        p.free(l(z));
+                    },
+                    |p| p.phase("odd", |p| p.compute(5)),
+                );
+                let a = p.malloc(c(2048), "a");
+                p.call(grow, vec![l(a)]);
+                p.calloc(c(4096), "kept");
+            });
+            p.parallel(region, vec![]);
+        });
+        let prog = b.build(main);
+        let mut cfg = tiny_sim();
+        cfg.omp_threads = 2;
+        cfg.pmu = Some(PmuConfig::Ibs { period: 1, skid: 0 });
+        let report =
+            run_world(&prog, &WorldConfig::single_node(cfg, 1), |_| Recorder::default()).unwrap();
+        let rec = &report.observers[0];
+        // Allocs: per iteration `a`, the moved realloc and `kept`, plus
+        // `zeroed` on two iterations and `scratch` on both team threads.
+        assert_eq!(rec.allocs.len(), 3 * 3 + 2 + 2);
+        // Frees: the moved realloc's old block per iteration, `zeroed`
+        // twice and `scratch` twice.
+        assert_eq!(rec.frees.len(), 3 + 2 + 2);
+        // Stores: `zeroed` zero-fill 2 x 16 lines, `kept` zero-fill 3 x 64
+        // lines, realloc copy 3 x 32 lines, and one program store per
+        // `grow` call and per team thread.
+        assert_eq!(report.nodes[0].machine_stats.stores, 2 * 16 + 3 * 64 + 3 * 32 + 3 + 2);
+        // Period 1 delivers one sample per op record or quiet batch.
+        assert_eq!(rec.samples.len(), 352);
+        assert_eq!(report.phase_names(), vec!["odd"]);
+    }
+
     #[test]
     fn sampling_observer_sees_memory_samples_with_context() {
         let mut b = ProgramBuilder::new("t");

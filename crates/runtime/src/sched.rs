@@ -21,15 +21,19 @@
 //!
 //! Statements that need shared state (allocation, barriers, fork, phase
 //! markers, dlopen) *park* their thread: the shard rewinds the cursor and
-//! emits a `Park` event; the commit phase executes the statement with the
-//! pre-epoch serial interpreter ([`NodeSim::exec_one`]), in event order,
-//! and keeps stepping the thread serially while it stays on serialized
-//! statements (so alloc-heavy init does not bounce through empty epochs).
+//! emits a `Park` event. So do the end of a thread and the end of a
+//! parallel region its master runs. The commit phase executes what the
+//! thread parked on with the commit-side interpreter
+//! ([`NodeSim::exec_one`]), in event order, and keeps stepping the thread
+//! serially while it stays on serialized statements (so alloc-heavy init
+//! does not bounce through empty epochs). Every other statement and
+//! block exit runs only shard-side ([`run_thread`]).
 
+use dcp_machine::pmu::OpRecord;
 use dcp_machine::{
-    AccessKind, CoreId, Cycles, DeferredAccess, DomainId, EpochKey, FrozenNode, Machine,
-    MachineConfig, MachineShard, MachineStats, PagePolicy, PageTable, Pmu, PmuConfig, Sample,
-    SampleOrigin,
+    AccessKind, CoreId, Cycles, DataSource, DeferredAccess, DomainId, EpochKey, FrozenNode,
+    Machine, MachineConfig, MachineShard, MachineStats, PagePolicy, PageTable, Pmu, PmuConfig,
+    Sample, SampleOrigin,
 };
 use dcp_support::{pool, FxHashMap};
 
@@ -208,8 +212,9 @@ enum Ev {
     /// A `store_val` value write, applied to the process value map in
     /// commit order (last writer in simulated time wins).
     Val { rank_local: u32, addr: u64, val: i64 },
-    /// The thread stopped at a serialized statement (or finished its
-    /// work); the commit folds its carry and runs the serial interpreter.
+    /// The thread stopped at a serialized statement, its own end or a
+    /// region exit; the commit folds its carry and runs the commit-side
+    /// interpreter.
     Park { tid: u32 },
 }
 
@@ -241,9 +246,34 @@ struct ShardCtx<'a, 'p> {
     cfg: &'a SimConfig,
     processes: &'a [ProcessState],
     num_ranks_total: u32,
-    mem_div: u32,
-    mem_shift: Option<u32>,
+    overlap: Overlap,
     epoch_end: Cycles,
+}
+
+/// The memory-level-parallelism divisor `cost.mem_overlap.max(1)`: a
+/// thread's clock advances by `latency / div` per access.
+#[derive(Clone, Copy)]
+struct Overlap {
+    div: u32,
+    /// `log2(div)` when it is a power of two (the default is 2): the hot
+    /// path then shifts instead of dividing (unsigned division and shift
+    /// agree exactly).
+    shift: Option<u32>,
+}
+
+impl Overlap {
+    fn new(mem_overlap: u32) -> Self {
+        let div = mem_overlap.max(1);
+        Self { div, shift: div.is_power_of_two().then(|| div.trailing_zeros()) }
+    }
+
+    #[inline]
+    fn of(self, latency: u32) -> Cycles {
+        match self.shift {
+            Some(s) => (latency >> s) as Cycles,
+            None => (latency / self.div) as Cycles,
+        }
+    }
 }
 
 /// Fold a signed carry into a clock, saturating at zero (a negative
@@ -319,15 +349,7 @@ pub struct NodeSim<'p, O: NodeObserver> {
     epoch_runs: Vec<ShardRun<'p>>,
     /// Merged event buffer, reused across epochs.
     event_buf: Vec<Keyed>,
-    /// Reusable buffer for evaluated call arguments in the commit-side
-    /// interpreter.
-    arg_scratch: Vec<i64>,
-    /// `cost.mem_overlap.max(1)`, precomputed for the per-access latency
-    /// division.
-    mem_div: u32,
-    /// `log2(mem_div)` when it is a power of two (the default is 2):
-    /// the hot path then shifts instead of dividing.
-    mem_shift: Option<u32>,
+    overlap: Overlap,
     num_ranks_total: u32,
     hw_per_rank: u32,
     live_mains: usize,
@@ -347,8 +369,6 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
         let machine = Machine::new(cfg.machine.clone());
         let hw = cfg.machine.topology.hw_threads();
         let hw_per_rank = (hw / node_ranks.len() as u32).max(1);
-        let mem_div = cfg.cost.mem_overlap.max(1);
-        let mem_shift = mem_div.is_power_of_two().then(|| mem_div.trailing_zeros());
         let mut sim = Self {
             program,
             machine,
@@ -364,9 +384,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
             pmu_pool: FxHashMap::default(),
             epoch_runs: Vec::new(),
             event_buf: Vec::new(),
-            arg_scratch: Vec::new(),
-            mem_div,
-            mem_shift,
+            overlap: Overlap::new(cfg.cost.mem_overlap),
             num_ranks_total,
             hw_per_rank,
             live_mains: node_ranks.len(),
@@ -631,8 +649,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 program,
                 cfg,
                 num_ranks_total,
-                mem_div,
-                mem_shift,
+                overlap,
                 ..
             } = self;
             let cx = ShardCtx {
@@ -640,8 +657,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 cfg,
                 processes: processes.as_slice(),
                 num_ranks_total: *num_ranks_total,
-                mem_div: *mem_div,
-                mem_shift: *mem_shift,
+                overlap: *overlap,
                 epoch_end,
             };
             let (fz, mshards) = machine.split_epoch();
@@ -692,14 +708,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
 
     /// Apply one epoch's sorted events to the node-shared state.
     fn commit_events(&mut self, events: &[Keyed]) {
-        let mem_div = self.mem_div;
-        let mem_shift = self.mem_shift;
-        let overlapped = move |latency: u32| -> Cycles {
-            match mem_shift {
-                Some(s) => (latency >> s) as Cycles,
-                None => (latency / mem_div) as Cycles,
-            }
-        };
+        let overlap = self.overlap;
         for k in events {
             match &k.ev {
                 Ev::Mem { tid, addr, d, opt_latency, tagged } => {
@@ -715,7 +724,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                     d.home = self.processes[rank_local].page_table.touch(*addr, domain);
                     let (latency, source) = self.machine.commit_access(&d);
                     let extra =
-                        overlapped(latency) as i64 - overlapped(*opt_latency) as i64;
+                        overlap.of(latency) as i64 - overlap.of(*opt_latency) as i64;
                     let th = self.threads[t].as_mut().expect("live thread");
                     th.carry += extra;
                     if *tagged {
@@ -731,9 +740,17 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                     self.machine.commit_prefetches(*from, *home, *now, *n);
                 }
                 Ev::Sample { tid, s } => {
-                    let t = *tid as usize;
-                    let overhead = self.deliver_sample(t, &s.sample, &s.frames, s.leaf, s.clock);
-                    self.threads[t].as_mut().expect("live thread").carry += overhead as i64;
+                    let th = self.threads[*tid as usize].as_mut().expect("live thread");
+                    let view = ThreadView {
+                        rank: th.rank,
+                        thread: th.thread,
+                        core: th.core,
+                        clock: s.clock,
+                        frames: &s.frames,
+                        leaf_ip: s.leaf,
+                    };
+                    let fix = th.fix.take();
+                    th.carry += deliver_sample(&mut self.observer, s.sample, fix, &view) as i64;
                 }
                 Ev::Val { rank_local, addr, val } => {
                     self.processes[*rank_local as usize].values.insert(*addr, *val);
@@ -764,40 +781,8 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
         }
     }
 
-    /// Deliver one commit-side sample through the observer, returning the
-    /// handler's overhead. If the thread's fix slot holds a correction
-    /// (the sample was tagged on a deferred access), the actual latency
-    /// and source replace the optimistic capture; a marked-event sample
-    /// whose actual source no longer matches the armed event is dropped —
-    /// the serial pipeline would never have tagged it.
-    fn deliver_sample(
-        &mut self,
-        tid: usize,
-        s: &Sample,
-        frames: &[FrameInfo],
-        leaf: Ip,
-        clock: Cycles,
-    ) -> Cycles {
-        let (rank, thread, core, fix) = {
-            let th = self.threads[tid].as_mut().expect("live thread");
-            (th.rank, th.thread, th.core, th.fix.take())
-        };
-        let mut s = *s;
-        if let Some((latency, source)) = fix {
-            s.latency = latency;
-            s.source = Some(source);
-            if let SampleOrigin::Marked(ev) = s.origin {
-                if !ev.matches(source) {
-                    return 0;
-                }
-            }
-        }
-        let view = ThreadView { rank, thread, core, clock, frames, leaf_ip: leaf };
-        self.observer.on_sample(&s, &view)
-    }
-
     // ---------------------------------------------------------------
-    // Commit-side stepping (the pre-epoch serial interpreter)
+    // Commit-side stepping
     // ---------------------------------------------------------------
 
     fn step(&mut self, tid: usize) -> StepOut {
@@ -970,22 +955,15 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
         StepOut::Ran
     }
 
-    /// Execute one statement (or control-stack bookkeeping) on `tid`.
-    /// This is the commit-side serial interpreter: it may touch any
-    /// node-shared state directly (allocator, page table, serial machine
-    /// pipeline, observer) because commits are strictly sequential.
-    #[allow(clippy::too_many_lines)]
+    /// Execute, on `tid`, what its shard parked on: one serialized
+    /// statement, the end of the thread, or the end of a parallel region
+    /// the thread runs as master. Every other statement and block exit
+    /// runs shard-side ([`run_thread`]). This is the commit-side
+    /// interpreter: it may touch any node-shared state directly
+    /// (allocator, page table, serial machine pipeline, observer) because
+    /// commits are strictly sequential.
     fn exec_one(&mut self, tid: usize) -> Action {
-        let mem_div = self.mem_div;
-        let mem_shift = self.mem_shift;
-        // `latency / mem_overlap`, shifting when the divisor is a power of
-        // two (unsigned division and shift agree exactly).
-        let overlapped = move |latency: u32| -> Cycles {
-            match mem_shift {
-                Some(s) => (latency >> s) as Cycles,
-                None => (latency / mem_div) as Cycles,
-            }
-        };
+        let overlap = self.overlap;
         let Self {
             program,
             cfg,
@@ -994,75 +972,28 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
             threads,
             observer,
             phases,
-            arg_scratch,
             num_ranks_total,
             ..
         } = self;
         let th = threads[tid].as_mut().expect("live thread");
         let proc_table = &program.procs;
 
-        // --- Phase A: advance the cursor to the next statement. ---
-        let spanned: &'p Spanned = loop {
-            let Some(ctrl) = th.ctrl.last_mut() else {
-                // No control left: the thread is finished.
-                return Action::ThreadDone;
-            };
-            if ctrl.idx < ctrl.stmts.len() {
-                let s = &ctrl.stmts[ctrl.idx];
-                ctrl.idx += 1;
-                break s;
-            }
-            // Block exhausted: apply its exit behaviour.
-            match ctrl.exit {
-                Exit::Seq => {
-                    th.ctrl.pop();
-                }
-                Exit::Loop { var, end, step } => {
-                    let v = th.local(var) + step;
-                    th.set_local(var, v);
-                    let cont = if step > 0 { v < end } else { v > end };
-                    th.clock += cfg.cost.op as Cycles;
-                    th.ops += 1;
-                    if cont {
-                        let c = th.ctrl.last_mut().expect("just checked");
-                        c.idx = 0;
-                        // Charge the back-edge and poll the PMU.
-                        let leaf = Ip::new(
-                            proc_table[th.frames.last().unwrap().proc.0 as usize].module,
-                            th.frames.last().unwrap().proc,
-                            0,
-                        );
-                        if let Some(pmu) = th.pmu.as_mut() {
-                            if let Some(s) = pmu.observe_quiet(1, leaf.0, th.core) {
-                                let view = ThreadView {
-                                    rank: th.rank,
-                                    thread: th.thread,
-                                    core: th.core,
-                                    clock: th.clock,
-                                    frames: &th.view,
-                                    leaf_ip: leaf,
-                                };
-                                th.clock += observer.on_sample(&s, &view);
-                            }
-                        }
-                        return Action::Ran;
-                    }
-                    th.ctrl.pop();
-                }
-                Exit::Frame => {
-                    th.ctrl.pop();
-                    th.clock += cfg.cost.ret as Cycles;
-                    if th.pop_frame(None) {
-                        return Action::ThreadDone;
-                    }
-                }
-                Exit::Region => {
-                    th.ctrl.pop();
-                    th.pop_frame(None);
-                    return Action::RegionEnd;
-                }
-            }
+        // --- Phase A: fetch the statement, or take the exit parked on. ---
+        let Some(ctrl) = th.ctrl.last_mut() else {
+            return Action::ThreadDone;
         };
+        let stmts: &'p [Spanned] = ctrl.stmts;
+        let Some(spanned) = stmts.get(ctrl.idx) else {
+            assert!(
+                matches!(ctrl.exit, Exit::Region),
+                "{:?} block exit reached the commit side",
+                ctrl.exit
+            );
+            th.ctrl.pop();
+            th.pop_frame(None);
+            return Action::RegionEnd;
+        };
+        ctrl.idx += 1;
 
         let cur_proc = th.frames.last().expect("no frame").proc;
         let ip = Ip::new(proc_table[cur_proc.0 as usize].module, cur_proc, spanned.uid);
@@ -1074,34 +1005,11 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
             num_ranks: *num_ranks_total as i64,
         };
 
-        // Helper: deliver a PMU sample through the observer. A pending
-        // fix (the sample was tagged shard-side on a deferred access)
-        // replaces the optimistic capture with the committed values, and
-        // drops a marked-event sample whose actual source no longer
-        // matches the armed event.
         macro_rules! deliver {
             ($sample:expr) => {{
-                let mut s: Sample = $sample;
-                let mut keep = true;
-                if let Some((latency, source)) = th.fix.take() {
-                    s.latency = latency;
-                    s.source = Some(source);
-                    if let SampleOrigin::Marked(ev) = s.origin {
-                        keep = ev.matches(source);
-                    }
-                }
-                if keep {
-                    let view = ThreadView {
-                        rank: th.rank,
-                        thread: th.thread,
-                        core: th.core,
-                        clock: th.clock,
-                        frames: &th.view,
-                        leaf_ip: ip,
-                    };
-                    let overhead = observer.on_sample(&s, &view);
-                    th.clock += overhead;
-                }
+                let fix = th.fix.take();
+                let overhead = deliver_sample(observer, $sample, fix, &th.view_at(ip));
+                th.clock += overhead;
             }};
         }
         macro_rules! quiet_ops {
@@ -1115,129 +1023,20 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 }
             }};
         }
+        // One store through the serial pipeline, fed to the PMU.
+        macro_rules! commit_store {
+            ($addr:expr, $res:expr) => {{
+                if let Some(pmu) = th.pmu.as_mut() {
+                    let op = OpRecord { ip: ip.0, core: th.core, mem: Some((&$res, $addr, true)) };
+                    if let Some(s) = pmu.observe_op(op) {
+                        deliver!(s);
+                    }
+                }
+            }};
+        }
 
-        // --- Phase B: execute the statement. ---
+        // --- Phase B: execute the serialized statement. ---
         match &spanned.kind {
-            Stmt::Let(dst, e) => {
-                let v = eval(e, th.locals(), &ectx);
-                th.set_local(*dst, v);
-                th.clock += cfg.cost.op as Cycles;
-                quiet_ops!(1);
-            }
-            Stmt::Compute { ops } => {
-                th.clock += *ops as Cycles * cfg.cost.op as Cycles;
-                quiet_ops!(*ops as u64);
-            }
-            Stmt::Load { base, index, elem, dst } => {
-                let b = eval(base, th.locals(), &ectx);
-                let i = eval(index, th.locals(), &ectx);
-                let addr = b + i * *elem as i64;
-                assert!(addr >= 0, "negative address");
-                let addr = layout::to_global(th.rank, addr as u64);
-                let domain = th.domain;
-                let home = process.page_table.touch(addr, domain);
-                let res = machine.access(th.core, addr, AccessKind::Load, home, ip.0, th.clock);
-                th.clock += overlapped(res.latency)
-                    + cfg.cost.op as Cycles;
-                th.ops += 1;
-                if let Some(d) = dst {
-                    let v = process.values.get(&addr).copied().unwrap_or(0);
-                    th.set_local(*d, v);
-                }
-                if let Some(pmu) = th.pmu.as_mut() {
-                    let op = dcp_machine::pmu::OpRecord {
-                        ip: ip.0,
-                        core: th.core,
-                        mem: Some((&res, addr, false)),
-                    };
-                    if let Some(s) = pmu.observe_op(op) {
-                        deliver!(s);
-                    }
-                }
-            }
-            Stmt::Store { base, index, elem, value } => {
-                let b = eval(base, th.locals(), &ectx);
-                let i = eval(index, th.locals(), &ectx);
-                let addr = b + i * *elem as i64;
-                assert!(addr >= 0, "negative address");
-                let addr = layout::to_global(th.rank, addr as u64);
-                if let Some(v) = value {
-                    let v = eval(v, th.locals(), &ectx);
-                    process.values.insert(addr, v);
-                }
-                let domain = th.domain;
-                let home = process.page_table.touch(addr, domain);
-                let res = machine.access(th.core, addr, AccessKind::Store, home, ip.0, th.clock);
-                th.clock += overlapped(res.latency)
-                    + cfg.cost.op as Cycles;
-                th.ops += 1;
-                if let Some(pmu) = th.pmu.as_mut() {
-                    let op = dcp_machine::pmu::OpRecord {
-                        ip: ip.0,
-                        core: th.core,
-                        mem: Some((&res, addr, true)),
-                    };
-                    if let Some(s) = pmu.observe_op(op) {
-                        deliver!(s);
-                    }
-                }
-            }
-            Stmt::For { var, start, end, step, body } => {
-                let s = eval(start, th.locals(), &ectx);
-                let e = eval(end, th.locals(), &ectx);
-                th.clock += cfg.cost.op as Cycles;
-                quiet_ops!(1);
-                let enter = if *step > 0 { s < e } else { s > e };
-                if enter {
-                    th.set_local(*var, s);
-                    th.ctrl.push(Ctrl {
-                        stmts: body,
-                        idx: 0,
-                        exit: Exit::Loop { var: *var, end: e, step: *step },
-                    });
-                }
-            }
-            Stmt::If { a, cmp, b, then_body, else_body } => {
-                let av = eval(a, th.locals(), &ectx);
-                let bv = eval(b, th.locals(), &ectx);
-                th.clock += cfg.cost.op as Cycles;
-                quiet_ops!(1);
-                let body = if eval_cmp(av, *cmp, bv) { then_body } else { else_body };
-                if !body.is_empty() {
-                    th.ctrl.push(Ctrl { stmts: body, idx: 0, exit: Exit::Seq });
-                }
-            }
-            Stmt::Call { callee, args, ret } => {
-                arg_scratch.clear();
-                arg_scratch.extend(args.iter().map(|a| eval(a, th.locals(), &ectx)));
-                let callee_proc = &proc_table[callee.0 as usize];
-                assert!(
-                    arg_scratch.len() == callee_proc.n_params as usize,
-                    "arity mismatch calling {}",
-                    callee_proc.name
-                );
-                th.clock += cfg.cost.call as Cycles;
-                quiet_ops!(1);
-                th.push_frame(*callee, callee_proc.n_locals, arg_scratch, Some(ip), *ret);
-                th.ctrl.push(Ctrl { stmts: &callee_proc.body, idx: 0, exit: Exit::Frame });
-            }
-            Stmt::Ret(v) => {
-                let val = v.as_ref().map(|e| eval(e, th.locals(), &ectx));
-                th.clock += cfg.cost.ret as Cycles;
-                quiet_ops!(1);
-                // Unwind control to (and including) the enclosing Frame.
-                loop {
-                    let c = th.ctrl.pop().expect("Ret outside any frame");
-                    match c.exit {
-                        Exit::Frame => break,
-                        Exit::Region => panic!("Ret out of a parallel region is not allowed"),
-                        _ => {}
-                    }
-                }
-                if th.pop_frame(val) {
-                    return Action::ThreadDone;
-                }
-            }
             Stmt::Alloc { dst, bytes, kind, policy } => {
                 let bytes = eval(bytes, th.locals(), &ectx);
                 assert!(bytes > 0, "non-positive allocation size");
@@ -1250,25 +1049,11 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 th.set_local(*dst, gaddr as i64);
                 th.clock += cfg.cost.alloc_base as Cycles;
                 quiet_ops!(4);
-                {
-                    let ev = AllocEvent {
-                        addr: gaddr,
-                        bytes: bytes as u64,
-                        zeroed: *kind == AllocKind::Calloc,
-                        ip,
-                    };
-                    let view = ThreadView {
-                        rank: th.rank,
-                        thread: th.thread,
-                        core: th.core,
-                        clock: th.clock,
-                        frames: &th.view,
-                        leaf_ip: ip,
-                    };
-                    let overhead = observer.on_alloc(&ev, &view);
-                    th.clock += overhead;
-                }
-                if *kind == AllocKind::Calloc {
+                let zeroed = *kind == AllocKind::Calloc;
+                let ev = AllocEvent { addr: gaddr, bytes: bytes as u64, zeroed, ip };
+                let overhead = observer.on_alloc(&ev, &th.view_at(ip));
+                th.clock += overhead;
+                if zeroed {
                     // Zero-fill: the allocating thread stores to every
                     // line, first-touching every page.
                     let line = cfg.machine.line_size;
@@ -1279,19 +1064,9 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                         let home = process.page_table.touch(a, domain);
                         let res =
                             machine.access(th.core, a, AccessKind::Store, home, ip.0, th.clock);
-                        th.clock += overlapped(res.latency)
-                            + cfg.cost.op as Cycles;
+                        th.clock += overlap.of(res.latency) + cfg.cost.op as Cycles;
                         th.ops += 1;
-                        if let Some(pmu) = th.pmu.as_mut() {
-                            let op = dcp_machine::pmu::OpRecord {
-                                ip: ip.0,
-                                core: th.core,
-                                mem: Some((&res, a, true)),
-                            };
-                            if let Some(s) = pmu.observe_op(op) {
-                                deliver!(s);
-                            }
-                        }
+                        commit_store!(a, res);
                     }
                 }
             }
@@ -1305,33 +1080,8 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 th.clock += cfg.cost.free_base as Cycles;
                 quiet_ops!(2);
                 let ev = FreeEvent { addr: gaddr, bytes: class, ip };
-                let view = ThreadView {
-                    rank: th.rank,
-                    thread: th.thread,
-                    core: th.core,
-                    clock: th.clock,
-                    frames: &th.view,
-                    leaf_ip: ip,
-                };
-                let overhead = observer.on_free(&ev, &view);
+                let overhead = observer.on_free(&ev, &th.view_at(ip));
                 th.clock += overhead;
-            }
-            Stmt::Salloc { dst, bytes } => {
-                let bytes = eval(bytes, th.locals(), &ectx);
-                assert!(bytes > 0, "non-positive stack allocation");
-                let base = STACK_BASE + th.thread as u64 * STACK_WINDOW;
-                let addr = th.stack_top;
-                let new_top = (addr + bytes as u64 + 15) & !15;
-                assert!(
-                    new_top < base + STACK_WINDOW,
-                    "stack overflow on thread {} of rank {}",
-                    th.thread,
-                    th.rank
-                );
-                th.stack_top = new_top;
-                th.set_local(*dst, layout::global(th.rank, addr) as i64);
-                th.clock += 2 * cfg.cost.op as Cycles;
-                quiet_ops!(2);
             }
             Stmt::Realloc { dst, ptr, bytes } => {
                 let gaddr = eval(ptr, th.locals(), &ectx);
@@ -1349,35 +1099,13 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 // The profiler sees realloc as free(old) + malloc(new),
                 // which is how real wrappers decompose it.
                 if new_gaddr != gaddr {
-                    {
-                        let ev = FreeEvent { addr: gaddr, bytes: old_class, ip };
-                        let view = ThreadView {
-                            rank: th.rank,
-                            thread: th.thread,
-                            core: th.core,
-                            clock: th.clock,
-                            frames: &th.view,
-                            leaf_ip: ip,
-                        };
-                        th.clock += observer.on_free(&ev, &view);
-                    }
-                    {
-                        let ev = AllocEvent {
-                            addr: new_gaddr,
-                            bytes: new_bytes as u64,
-                            zeroed: false,
-                            ip,
-                        };
-                        let view = ThreadView {
-                            rank: th.rank,
-                            thread: th.thread,
-                            core: th.core,
-                            clock: th.clock,
-                            frames: &th.view,
-                            leaf_ip: ip,
-                        };
-                        th.clock += observer.on_alloc(&ev, &view);
-                    }
+                    let ev = FreeEvent { addr: gaddr, bytes: old_class, ip };
+                    let overhead = observer.on_free(&ev, &th.view_at(ip));
+                    th.clock += overhead;
+                    let ev =
+                        AllocEvent { addr: new_gaddr, bytes: new_bytes as u64, zeroed: false, ip };
+                    let overhead = observer.on_alloc(&ev, &th.view_at(ip));
+                    th.clock += overhead;
                     // Copy min(old, new) bytes, line by line: real loads
                     // and stores through the hierarchy.
                     let line = cfg.machine.line_size;
@@ -1389,22 +1117,13 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                         let home_s = process.page_table.touch(src, domain);
                         let r1 =
                             machine.access(th.core, src, AccessKind::Load, home_s, ip.0, th.clock);
-                        th.clock += overlapped(r1.latency) + 1;
+                        th.clock += overlap.of(r1.latency) + 1;
                         let home_d = process.page_table.touch(dst_a, domain);
                         let r2 = machine
                             .access(th.core, dst_a, AccessKind::Store, home_d, ip.0, th.clock);
-                        th.clock += overlapped(r2.latency) + 1;
+                        th.clock += overlap.of(r2.latency) + 1;
                         th.ops += 2;
-                        if let Some(pmu) = th.pmu.as_mut() {
-                            let op = dcp_machine::pmu::OpRecord {
-                                ip: ip.0,
-                                core: th.core,
-                                mem: Some((&r2, dst_a, true)),
-                            };
-                            if let Some(s) = pmu.observe_op(op) {
-                                deliver!(s);
-                            }
-                        }
+                        commit_store!(dst_a, r2);
                     }
                 }
             }
@@ -1431,35 +1150,11 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 );
                 return Action::Fork { outlined: *outlined, args: vals, n, site: ip };
             }
-            Stmt::OmpFor { var, start, end, body } => {
-                let s = eval(start, th.locals(), &ectx);
-                let e = eval(end, th.locals(), &ectx);
-                let t = th.thread as i64;
-                let n = th.team_size as i64;
-                th.clock += 2 * cfg.cost.op as Cycles;
-                quiet_ops!(2);
-                let total = (e - s).max(0);
-                let chunk = (total + n - 1) / n;
-                let lo = s + t * chunk;
-                let hi = (lo + chunk).min(e);
-                if lo < hi {
-                    th.set_local(*var, lo);
-                    th.ctrl.push(Ctrl {
-                        stmts: body,
-                        idx: 0,
-                        exit: Exit::Loop { var: *var, end: hi, step: 1 },
-                    });
-                }
-            }
             Stmt::OmpBarrier => return Action::OmpBarrier,
             Stmt::MpiBarrier => {
                 assert!(th.thread == 0, "MPI barrier must be called by the rank main thread");
                 assert!(th.team.is_none(), "MPI barrier inside a parallel region");
                 return Action::MpiBarrier;
-            }
-            Stmt::MpiCost { cycles } => {
-                th.clock += cycles;
-                quiet_ops!(1);
             }
             Stmt::MpiExchange { peer, bytes } => {
                 assert!(th.thread == 0, "MPI exchange must be called by the rank main thread");
@@ -1500,9 +1195,34 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
                 th.clock += cfg.cost.dl as Cycles;
                 observer.on_module(&ModuleEvent::Unloaded { module: *m, rank: th.rank });
             }
+            kind => unreachable!("shard-safe statement reached the commit side: {kind:?}"),
         }
         Action::Ran
     }
+}
+
+/// Deliver one commit-side sample through the observer, returning the
+/// handler's overhead. `fix` is the thread's fix slot: when the sample
+/// was tagged on a deferred access, the committed latency and source
+/// replace the optimistic capture, and a marked-event sample whose
+/// committed source no longer matches the armed event is dropped — the
+/// serial pipeline would never have tagged it.
+fn deliver_sample<O: NodeObserver>(
+    observer: &mut O,
+    mut s: Sample,
+    fix: Option<(u32, DataSource)>,
+    view: &ThreadView<'_>,
+) -> Cycles {
+    if let Some((latency, source)) = fix {
+        s.latency = latency;
+        s.source = Some(source);
+        if let SampleOrigin::Marked(ev) = s.origin {
+            if !ev.matches(source) {
+                return 0;
+            }
+        }
+    }
+    observer.on_sample(&s, view)
 }
 
 // -------------------------------------------------------------------
@@ -1526,8 +1246,10 @@ fn run_shard<'p>(
 }
 
 /// Advance one thread until its clock crosses the epoch end or it parks
-/// on a serialized statement. Mirrors [`NodeSim::exec_one`] statement for
-/// statement; every shared-state touch becomes a keyed event instead.
+/// on a serialized statement, its own end or a region exit. This is the
+/// only interpreter of shard-safe statements and block exits; every
+/// shared-state touch becomes a keyed event, and the commit side
+/// ([`NodeSim::exec_one`]) runs what the thread parks on.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn run_thread<'p>(
     tid: usize,
@@ -1544,14 +1266,7 @@ fn run_thread<'p>(
     let process = &cx.processes[th.rank_local];
     let tkey = tid as u32;
     let rl = th.rank_local as u32;
-    let mem_div = cx.mem_div;
-    let mem_shift = cx.mem_shift;
-    let overlapped = move |latency: u32| -> Cycles {
-        match mem_shift {
-            Some(s) => (latency >> s) as Cycles,
-            None => (latency / mem_div) as Cycles,
-        }
-    };
+    let overlap = cx.overlap;
     let ectx = EvalCtx {
         omp_tid: th.thread as i64,
         team_size: th.team_size as i64,
@@ -1565,6 +1280,23 @@ fn run_thread<'p>(
             th.seq += 1;
             events.push(Keyed { key: (th.clock, tkey, th.seq), ev: Ev::Park { tid: tkey } });
             return;
+        }};
+    }
+    macro_rules! emit_sample {
+        ($s:expr, $leaf:expr) => {{
+            th.seq += 1;
+            events.push(Keyed {
+                key: (th.clock, tkey, th.seq),
+                ev: Ev::Sample {
+                    tid: tkey,
+                    s: Box::new(SampleEv {
+                        sample: $s,
+                        frames: th.view.clone(),
+                        leaf: $leaf,
+                        clock: th.clock,
+                    }),
+                },
+            });
         }};
     }
 
@@ -1601,19 +1333,7 @@ fn run_thread<'p>(
                         );
                         if let Some(pmu) = th.pmu.as_mut() {
                             if let Some(s) = pmu.observe_quiet(1, leaf.0, th.core) {
-                                th.seq += 1;
-                                events.push(Keyed {
-                                    key: (th.clock, tkey, th.seq),
-                                    ev: Ev::Sample {
-                                        tid: tkey,
-                                        s: Box::new(SampleEv {
-                                            sample: s,
-                                            frames: th.view.clone(),
-                                            leaf,
-                                            clock: th.clock,
-                                        }),
-                                    },
-                                });
+                                emit_sample!(s, leaf);
                             }
                         }
                         continue 'run;
@@ -1628,8 +1348,8 @@ fn run_thread<'p>(
                     }
                 }
                 // Region exit = team join: commit-side. Leave the control
-                // stack untouched; the serial interpreter's Phase A pops
-                // it and performs the join.
+                // stack untouched; `exec_one` pops it and performs the
+                // join.
                 Exit::Region => park!(),
             }
         };
@@ -1637,23 +1357,6 @@ fn run_thread<'p>(
         let cur_proc = th.frames.last().expect("no frame").proc;
         let ip = Ip::new(proc_table[cur_proc.0 as usize].module, cur_proc, spanned.uid);
 
-        macro_rules! emit_sample {
-            ($s:expr, $leaf:expr) => {{
-                th.seq += 1;
-                events.push(Keyed {
-                    key: (th.clock, tkey, th.seq),
-                    ev: Ev::Sample {
-                        tid: tkey,
-                        s: Box::new(SampleEv {
-                            sample: $s,
-                            frames: th.view.clone(),
-                            leaf: $leaf,
-                            clock: th.clock,
-                        }),
-                    },
-                });
-            }};
-        }
         macro_rules! emit_quiet {
             ($n:expr) => {{
                 let n: u64 = $n;
@@ -1677,12 +1380,12 @@ fn run_thread<'p>(
                 let akey: EpochKey = (now, tkey, th.seq);
                 let out = shard.access(fz, th.core, addr, $kind, home, ip.0, now, akey);
                 let res = out.result;
-                th.clock += overlapped(res.latency) + cfg.cost.op as Cycles;
+                th.clock += overlap.of(res.latency) + cfg.cost.op as Cycles;
                 th.ops += 1;
                 let mut tagged = false;
                 let mut delivered: Option<Sample> = None;
                 if let Some(pmu) = th.pmu.as_mut() {
-                    let op = dcp_machine::pmu::OpRecord {
+                    let op = OpRecord {
                         ip: ip.0,
                         core: th.core,
                         mem: Some((&res, addr, $is_store)),

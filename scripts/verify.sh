@@ -9,10 +9,6 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 
-# Codec smoke stage: the profile wire format and its streamed merge are
-# the post-mortem scalability story, so they get an explicit pass.
-cargo test -q --offline -p dcp-cct
-
 # The thread pool reads DCP_THREADS once per process, so each pool shape
 # needs its own test-process run: sequential (0), fixed (8), and the
 # default (core count) already covered by the workspace run above. The
