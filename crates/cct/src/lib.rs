@@ -5,9 +5,10 @@
 //! metric vectors, data-centric dummy frames (static-variable nodes and
 //! the heap-data marker), a compact versioned binary profile codec (the
 //! paper's space-overhead story — LEB128 v1 plus the delta/sparse v2
-//! with streaming, hardened decoding), and scalable reduction-tree
-//! merging both in memory and out-of-core over encoded profiles (the
-//! paper's analysis-scalability story).
+//! with streaming, hardened decoding), and scalable merging: a
+//! reduction tree in memory and a one-accumulator streaming fold
+//! out-of-core over encoded profiles (the paper's analysis-scalability
+//! story).
 
 pub mod codec;
 pub mod diff;
@@ -20,10 +21,7 @@ pub use codec::{
     StringTable,
 };
 pub use diff::{diff, DiffEntry, ProfileDiff};
-pub use merge::{
-    merge_encoded, merge_encoded_sequential, merge_reduction_tree, merge_sequential,
-    IncrementalMerge,
-};
+pub use merge::{merge_encoded, merge_reduction_tree, merge_sequential, IncrementalMerge};
 pub use tree::{Cct, Frame, NodeId, ROOT};
 
 #[cfg(test)]
@@ -34,7 +32,7 @@ mod proptests {
     use crate::codec::{
         decode, decode_named, encode, encode_named, encode_v1, ProfileNames, ProfileReader,
     };
-    use crate::merge::{merge_encoded, merge_reduction_tree, merge_sequential};
+    use crate::merge::{merge_encoded, merge_reduction_tree, merge_sequential, IncrementalMerge};
     use crate::tree::{Cct, Frame, ROOT};
 
     fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -150,6 +148,35 @@ mod proptests {
             let streamed = merge_encoded(blobs, 2).unwrap();
             let in_mem = merge_reduction_tree(ts, 2);
             assert_eq!(encode(&streamed), encode(&in_mem));
+        }
+
+        /// Folding pushed blobs at arbitrary points — empty and
+        /// single-blob batches included, wire versions mixed — serves
+        /// the exact bytes of one streamed fold over all blobs and of
+        /// the in-memory parallel reduction tree. `folds[0]` folds
+        /// before the first push, `folds[i + 1]` after blob `i`.
+        fn incremental_folds_match_one_fold(
+            ts in vec(arb_cct(), 0..24),
+            folds in vec(0usize..3, 25..26),
+        ) {
+            let blobs: Vec<_> = ts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| if i % 2 == 0 { encode(t) } else { encode_v1(t) })
+                .collect();
+            let mut inc = IncrementalMerge::new(2);
+            for _ in 0..folds[0] {
+                inc.fold().unwrap();
+            }
+            for (b, &n) in blobs.iter().zip(&folds[1..]) {
+                inc.push(b.clone());
+                for _ in 0..n {
+                    inc.fold().unwrap();
+                }
+            }
+            let got = encode(inc.tree().unwrap());
+            assert_eq!(got, encode(&merge_encoded(blobs, 2).unwrap()));
+            assert_eq!(got, encode(&merge_reduction_tree(ts, 2)));
         }
 
         /// Merging conserves metric totals.

@@ -3,20 +3,28 @@
 //! The paper's post-mortem analyzer merges per-thread profiles across
 //! threads and processes with an MPI reduction tree so that merge time
 //! grows logarithmically with parallelism (§4.2, citing Tallent et al.).
-//! Our equivalent is a rayon-based binary reduction tree: halves of the
-//! profile list merge recursively in parallel. Merging is associative and
-//! commutative on canonical tree content, so the parallel reduction is
-//! deterministic in everything observable.
+//! Our in-memory equivalent is [`merge_reduction_tree`], a fork-join
+//! binary reduction tree: halves of the profile list merge recursively
+//! in parallel. Merging is associative and commutative on canonical tree
+//! content, so the parallel reduction is deterministic in everything
+//! observable.
 //!
-//! Two input shapes are supported. [`merge_reduction_tree`] takes
-//! already-materialized [`Cct`]s. [`merge_encoded`] takes *encoded*
-//! profiles and streams each one into its reduction-branch accumulator
-//! via [`crate::codec::merge_into`], so peak memory is bounded by the
-//! accumulators live on active branches — O(active workers × merged
-//! profile), not O(sum of all K inputs) — which is what lets a
-//! post-mortem pass over thousands of per-thread profiles run on a
-//! laptop. Both walks visit nodes in creation order, so the two paths
-//! produce byte-identical re-encodings (a property the tests pin).
+//! [`merge_encoded`] takes *encoded* profiles instead and folds them
+//! into one accumulator in input order, streaming each blob in via
+//! [`crate::codec::merge_into`] without materializing it, so peak memory
+//! is a single merged profile — not O(sum of all K inputs) — which is
+//! what lets a post-mortem pass over thousands of per-thread profiles
+//! run on a laptop. It deliberately builds no tree: a reduction over
+//! encoded blobs has to decode every leaf pair into a fresh `Cct` (every
+//! node allocated, a new index grown) and then merge those trees back
+//! up, and on a 2-core host that made the serving daemon's racing
+//! dashboard refresh ~6x slower (median 17.7 ms vs 3.0 ms) than this
+//! one-accumulator fold. Folding contiguous chunks in parallel on the
+//! fork-join pool measured within ~15 % of the single fold there
+//! (faster median, slower tail) and would put the pool back on the
+//! daemon's read path, so it is not used. Both walks visit nodes in
+//! creation order, so every path here produces byte-identical
+//! re-encodings (a property the tests pin).
 
 use std::sync::Arc;
 
@@ -68,83 +76,42 @@ pub fn merge_sequential(profiles: Vec<Cct>, width: usize) -> Cct {
     acc
 }
 
-/// Out-of-core reduction-tree merge over *encoded* profiles (either wire
-/// version, mixed freely). Each leaf blob streams into its branch's
-/// accumulator without ever materializing the input tree; the reduction
-/// recursion mirrors [`merge_reduction_tree`] exactly, so re-encoding the
-/// result is byte-identical to decoding everything up front and merging
-/// in memory. Fails fast with the decode error of the first bad blob.
-pub fn merge_encoded(mut blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
-    match blobs.len() {
-        0 => Ok(Cct::new(width)),
-        1 => stream_one(blobs.pop().expect("len checked"), width),
-        _ => reduce_encoded(blobs, width),
-    }
-}
-
-/// Sequential streaming fold: one accumulator, every blob streamed in.
-/// Peak memory is a single merged profile — the tightest bound — at the
-/// cost of no parallelism. Reference implementation for the tests and
-/// the baseline for the merge benchmark.
-pub fn merge_encoded_sequential(blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
-    let mut it = blobs.into_iter();
-    let mut acc = match it.next() {
-        Some(b) => stream_one(b, width)?,
-        None => return Ok(Cct::new(width)),
-    };
-    for b in it {
-        merge_into(&mut acc, b)?;
-    }
-    Ok(acc)
-}
-
-/// Decode one blob by streaming it into a fresh accumulator, enforcing
-/// the expected metric width.
-fn stream_one(bytes: Bytes, width: usize) -> Result<Cct, CodecError> {
+/// Out-of-core streaming fold over *encoded* profiles (either wire
+/// version, mixed freely): every blob streams, in input order, into one
+/// fresh accumulator of `width` columns, without ever materializing an
+/// input tree. Re-encoding
+/// the result is byte-identical to decoding everything up front and
+/// merging in memory, by [`merge_sequential`] or [`merge_reduction_tree`].
+/// Fails with the decode error of the first bad blob in input order.
+pub fn merge_encoded(blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
     let mut acc = Cct::new(width);
-    merge_into(&mut acc, bytes)?;
-    Ok(acc)
-}
-
-fn reduce_encoded(mut blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
-    debug_assert!(blobs.len() >= 2);
-    if blobs.len() == 2 {
-        let b = blobs.pop().expect("len 2");
-        let a = blobs.pop().expect("len 2");
-        let mut acc = stream_one(a, width)?;
+    for b in blobs {
         merge_into(&mut acc, b)?;
-        return Ok(acc);
     }
-    let right = blobs.split_off(blobs.len() / 2);
-    let (l, r) = join(|| half_encoded(blobs, width), || half_encoded(right, width));
-    let mut l = l?;
-    l.merge_from(&r?);
-    Ok(l)
-}
-
-fn half_encoded(blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
-    match blobs.len() {
-        1 => stream_one(blobs.into_iter().next().expect("len 1"), width),
-        _ => reduce_encoded(blobs, width),
-    }
+    Ok(acc)
 }
 
 /// Amortized incremental merge: an accumulator plus a buffer of pending
 /// encoded blobs. [`push`](IncrementalMerge::push) is O(1); each
-/// [`fold`](IncrementalMerge::fold) reduction-tree-merges the pending
-/// batch ([`merge_encoded`], parallel on the pool) and folds the batch
-/// into the accumulator, so adding K blobs to an N-blob set costs one
-/// batch merge plus one tree merge — never a re-merge of all N+K inputs.
+/// [`fold`](IncrementalMerge::fold) streams the pending batch into one
+/// fresh batch tree ([`merge_encoded`]) and merges that tree into the
+/// accumulator, so adding K blobs to an N-blob set costs one batch fold
+/// plus one tree merge — never a re-merge of all N+K inputs. Folding
+/// into a separate batch tree is what keeps the accumulator untouched
+/// when a blob in the batch turns out to be bad; it is also cheaper than
+/// validating the batch and then streaming every blob straight into the
+/// (much larger) accumulator, which measured ~2x slower on the serving
+/// daemon's racing refresh.
 ///
 /// **Invariant** (pinned by tests): after any sequence of pushes and
-/// folds, `tree()` re-encodes byte-identically to
-/// [`merge_encoded_sequential`] over the same blobs in push order. This
-/// holds because every merge path appends first-touch nodes in the
-/// walked operand's creation order, so the final creation order is the
-/// order of first appearance across the flattened blob list regardless
-/// of how the folds were bracketed. The serving layer's concurrent
-/// ingest leans on this: fold blobs in client-assigned sequence order
-/// and the served profile is deterministic.
+/// folds, `tree()` re-encodes byte-identically to [`merge_encoded`]
+/// over the same blobs in push order. This holds because every merge
+/// path appends first-touch nodes in the walked operand's creation
+/// order, so the final creation order is the order of first appearance
+/// across the flattened blob list regardless of how the folds were
+/// bracketed. The serving layer's concurrent ingest leans on this: fold
+/// blobs in client-assigned sequence order and the served profile is
+/// deterministic.
 ///
 /// The accumulator lives behind an [`Arc`] so readers can take a
 /// zero-copy handle ([`shared_tree`](Self::shared_tree)) — a snapshot of
@@ -318,7 +285,7 @@ mod tests {
     fn streamed_merge_is_byte_identical_to_in_memory() {
         // The acceptance bar: out-of-core and in-memory merges must not
         // just agree canonically — their re-encodings must be the same
-        // bytes. 37 forces an uneven reduction tree.
+        // bytes. 37 forces an uneven in-memory reduction tree.
         let profiles: Vec<Cct> = (0..37).map(|s| make_profile(s, 13)).collect();
         let blobs: Vec<Bytes> = profiles.iter().map(encode).collect();
         let in_mem = merge_reduction_tree(profiles, 2);
@@ -328,9 +295,9 @@ mod tests {
 
     #[test]
     fn streamed_merge_oversubscribed_pool_is_byte_identical() {
-        // 512 profiles per worker: the reduction must queue, steal, and
-        // help without deadlocking, and still produce the exact bytes of
-        // the in-memory merge.
+        // 512 profiles per worker: the in-memory reduction must queue,
+        // steal, and help without deadlocking, and the streamed fold must
+        // still produce its exact bytes.
         let n = 512 * dcp_support::pool::parallelism();
         let profiles: Vec<Cct> = (0..n as u64).map(|s| make_profile(s, 5)).collect();
         let blobs: Vec<Bytes> = profiles.iter().map(encode).collect();
@@ -358,7 +325,7 @@ mod tests {
         let profiles: Vec<Cct> = (0..19).map(|s| make_profile(s, 7)).collect();
         let blobs: Vec<Bytes> = profiles.iter().map(encode).collect();
         let in_mem = merge_sequential(profiles, 2);
-        let streamed = merge_encoded_sequential(blobs, 2).expect("valid blobs");
+        let streamed = merge_encoded(blobs, 2).expect("valid blobs");
         assert_eq!(encode(&streamed), encode(&in_mem));
     }
 
@@ -388,7 +355,7 @@ mod tests {
             }
         }
         assert!(inc.pending() > 0, "test must exercise a trailing fold");
-        let want = merge_encoded_sequential(blobs, 2).expect("valid blobs");
+        let want = merge_encoded(blobs, 2).expect("valid blobs");
         assert_eq!(encode(inc.tree().expect("valid blobs")), encode(&want));
         assert_eq!(inc.blobs(), 29);
         assert!(inc.folds() >= 4);
@@ -415,6 +382,22 @@ mod tests {
         let before = encode(inc.tree().expect("folded"));
 
         inc.push(good.slice(0..good.len() - 3));
+        assert_eq!(inc.fold().unwrap_err(), CodecError::Truncated);
+        assert_eq!(inc.pending(), 0, "bad batch is dropped");
+        assert_eq!(encode(inc.tree().expect("acc intact")), before);
+
+        // A bad blob in the middle of a 5-blob batch: neither the good
+        // blobs streamed before it nor its own valid prefix may leak
+        // into the accumulator.
+        for s in 0..5 {
+            if s == 2 {
+                let blob = encode(&make_profile(9, 4));
+                inc.push(blob.slice(0..blob.len() - 3));
+            } else {
+                inc.push(encode(&make_profile(10 + s, 6)));
+            }
+        }
+        assert_eq!(inc.pending(), 5);
         assert_eq!(inc.fold().unwrap_err(), CodecError::Truncated);
         assert_eq!(inc.pending(), 0, "bad batch is dropped");
         assert_eq!(encode(inc.tree().expect("acc intact")), before);
@@ -459,5 +442,16 @@ mod tests {
         // Width mismatches are typed errors too, not asserts.
         let err = merge_encoded(vec![good], 5).unwrap_err();
         assert_eq!(err, CodecError::WidthMismatch { expected: 5, found: 2 });
+    }
+
+    #[test]
+    fn streamed_merge_reports_the_first_bad_blob_in_input_order() {
+        let good = encode(&make_profile(1, 4));
+        let truncated = good.slice(0..good.len() - 2);
+        let wide = encode(&Cct::new(5));
+        let err = merge_encoded(vec![good.clone(), truncated.clone(), wide.clone()], 2);
+        assert_eq!(err.unwrap_err(), CodecError::Truncated);
+        let err = merge_encoded(vec![good, wide, truncated], 2);
+        assert_eq!(err.unwrap_err(), CodecError::WidthMismatch { expected: 2, found: 5 });
     }
 }

@@ -340,9 +340,9 @@ impl<'p> Analysis<'p> {
     }
 
     /// Merge *encoded* measurement data: each per-class profile list is
-    /// merged with the out-of-core streamed reduction tree, so peak
-    /// memory holds merge accumulators — never all the decoded input
-    /// profiles at once. The result is indistinguishable from
+    /// folded out-of-core by [`merge_encoded`], so peak memory holds one
+    /// merged profile per class — never all the decoded input profiles
+    /// at once. The result is indistinguishable from
     /// [`Analysis::analyze`] on the corresponding decoded data; a
     /// malformed profile surfaces as a typed [`CodecError`].
     pub fn analyze_encoded(

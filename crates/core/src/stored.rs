@@ -293,7 +293,7 @@ pub fn decode_bundle(mut buf: Bytes) -> Result<StoredBundle, CodecError> {
 ///
 /// Determinism: blobs are pushed in bundle-ingest order, and the
 /// incremental-merge invariant makes each class tree byte-identical on
-/// re-encode to `merge_encoded_sequential` over that order — so a fixed
+/// re-encode to one `merge_encoded` fold over that order — so a fixed
 /// ingest order fixes every served byte.
 ///
 /// The read path is incremental. The symbol tables live behind `Arc`s

@@ -4,7 +4,7 @@
 //! process. This crate puts a daemon in front of the same machinery:
 //! clients stream encoded profile bundles to named **profile sets**
 //! over a length-prefixed TCP protocol; the store folds them with the
-//! incremental reduction-tree merge; view queries (top-down, bottom-up,
+//! incremental streaming merge; view queries (top-down, bottom-up,
 //! flat, ranking, variable-centric, two-profile diff) render from the
 //! merged trees through the exact view code the CLI uses, behind an
 //! LRU response cache invalidated by ingest epochs.
@@ -34,7 +34,7 @@
 //!
 //! Determinism contract: with client-assigned sequence numbers, the
 //! merged profile a set serves is byte-identical to
-//! `merge_encoded_sequential` over the same bundles in sequence order,
+//! one `merge_encoded` fold over the same bundles in sequence order,
 //! no matter how many connections raced — the loopback e2e test pins
 //! this end to end. With a data directory configured the contract
 //! extends through crashes: a daemon killed at any instant and

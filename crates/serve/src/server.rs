@@ -3,9 +3,9 @@
 //! Sessions run on dedicated OS threads — deliberately NOT on the
 //! fork-join compute pool. A session blocks on socket reads; parking it
 //! on a work-helping pool worker would starve compute (and deadlock
-//! outright under `DCP_THREADS=0`, which has no workers at all). The
-//! compute pool still does what it is for: `merge_encoded` inside a
-//! snapshot fold parallelises across blobs exactly as it does offline.
+//! outright under `DCP_THREADS=0`, which has no workers at all). No
+//! request path uses the compute pool: a snapshot fold streams the
+//! pending blobs through `merge_encoded` on the session's own thread.
 //!
 //! Robustness posture per connection: a read timeout bounds how long a
 //! quiet peer can hold a session thread, `MAX_FRAME` bounds allocation,

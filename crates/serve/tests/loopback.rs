@@ -1,11 +1,11 @@
 //! Loopback end-to-end: real sockets, concurrent clients, and the
 //! determinism contract — a profile set assembled by a racing client
-//! pool serves trees byte-identical to `merge_encoded_sequential` over
+//! pool serves trees byte-identical to one `merge_encoded` fold over
 //! the same blobs in sequence order.
 
 use std::time::Duration;
 
-use dcp_cct::{encode, merge_encoded_sequential, Cct, Frame, ROOT};
+use dcp_cct::{encode, merge_encoded, Cct, Frame, ROOT};
 use dcp_core::metrics::{StorageClass, WIDTH};
 use dcp_core::stored::{encode_bundle, StoredBundle};
 use dcp_serve::{Client, Server, ServerConfig, ServeError};
@@ -89,7 +89,7 @@ fn concurrent_ingest_is_byte_identical_to_sequential_merge() {
             .iter()
             .flat_map(|b| b.profiles[class.idx()].iter().cloned())
             .collect();
-        let reference = merge_encoded_sequential(blobs, WIDTH).expect("reference merge");
+        let reference = merge_encoded(blobs, WIDTH).expect("reference merge");
         let name = match class {
             StorageClass::Heap => "heap",
             _ => "static",
@@ -122,7 +122,7 @@ fn out_of_order_and_gapped_ingest_commits_deterministically() {
         .iter()
         .flat_map(|b| b.profiles[StorageClass::Heap.idx()].iter().cloned())
         .collect();
-    let reference = merge_encoded_sequential(blobs, WIDTH).expect("reference");
+    let reference = merge_encoded(blobs, WIDTH).expect("reference");
     let served = cl.query("export ooo heap").expect("export");
     assert_eq!(served, hex(&encode(&reference)));
     drop(cl);
@@ -371,7 +371,7 @@ fn restart_mid_stream_resumes_byte_identical() {
         .iter()
         .flat_map(|b| b.profiles[StorageClass::Heap.idx()].iter().cloned())
         .collect();
-    let reference = merge_encoded_sequential(blobs, WIDTH).expect("reference");
+    let reference = merge_encoded(blobs, WIDTH).expect("reference");
     assert_eq!(cl.query("export w heap").expect("export"), hex(&encode(&reference)));
 
     // Golden 2: an uncrashed, memory-only daemon fed the same stream.

@@ -12,8 +12,9 @@ cargo test -q --offline --workspace
 # The thread pool reads DCP_THREADS once per process, so each pool shape
 # needs its own test-process run: sequential (0), fixed (8), and the
 # default (core count) already covered by the workspace run above. The
-# streamed out-of-core merge must be byte-identical to the in-memory
-# merge under every shape.
+# streamed merge is one sequential fold and uses no pool; these legs
+# vary the pool under its oracle, the in-memory fork-join reduction
+# tree, which the `streamed*` tests compare it with byte for byte.
 DCP_THREADS=0 cargo test -q --offline -p dcp-cct streamed
 DCP_THREADS=8 cargo test -q --offline -p dcp-cct streamed
 
