@@ -5,10 +5,10 @@
 //! metric vectors, data-centric dummy frames (static-variable nodes and
 //! the heap-data marker), a compact versioned binary profile codec (the
 //! paper's space-overhead story — LEB128 v1 plus the delta/sparse v2
-//! with streaming, hardened decoding), and scalable merging: a
-//! reduction tree in memory and a one-accumulator streaming fold
-//! out-of-core over encoded profiles (the paper's analysis-scalability
-//! story).
+//! with streaming, hardened decoding), and merging: a sequential fold in
+//! memory and a one-accumulator streaming fold out-of-core over encoded
+//! profiles (the paper's analysis-scalability story; its cross-process
+//! reduction tree is the serving tier's shard → router combine).
 
 pub mod codec;
 pub mod diff;
@@ -21,7 +21,7 @@ pub use codec::{
     StringTable,
 };
 pub use diff::{diff, DiffEntry, ProfileDiff};
-pub use merge::{merge_encoded, merge_reduction_tree, merge_sequential, IncrementalMerge};
+pub use merge::{merge_encoded, merge_sequential, IncrementalMerge};
 pub use tree::{Cct, Frame, NodeId, ROOT};
 
 #[cfg(test)]
@@ -32,7 +32,7 @@ mod proptests {
     use crate::codec::{
         decode, decode_named, encode, encode_named, encode_v1, ProfileNames, ProfileReader,
     };
-    use crate::merge::{merge_encoded, merge_reduction_tree, merge_sequential, IncrementalMerge};
+    use crate::merge::{merge_encoded, merge_sequential, IncrementalMerge};
     use crate::tree::{Cct, Frame, ROOT};
 
     fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -142,18 +142,18 @@ mod proptests {
         }
 
         /// Out-of-core merge over encoded profiles re-encodes to the
-        /// exact bytes of the in-memory reduction merge.
+        /// exact bytes of the in-memory merge.
         fn streamed_merge_matches_in_memory(ts in vec(arb_cct(), 0..10)) {
             let blobs = ts.iter().map(encode).collect();
             let streamed = merge_encoded(blobs, 2).unwrap();
-            let in_mem = merge_reduction_tree(ts, 2);
+            let in_mem = merge_sequential(ts, 2);
             assert_eq!(encode(&streamed), encode(&in_mem));
         }
 
         /// Folding pushed blobs at arbitrary points — empty and
         /// single-blob batches included, wire versions mixed — serves
         /// the exact bytes of one streamed fold over all blobs and of
-        /// the in-memory parallel reduction tree. `folds[0]` folds
+        /// the in-memory fold. `folds[0]` folds
         /// before the first push, `folds[i + 1]` after blob `i`.
         fn incremental_folds_match_one_fold(
             ts in vec(arb_cct(), 0..24),
@@ -176,23 +176,16 @@ mod proptests {
             }
             let got = encode(inc.tree().unwrap());
             assert_eq!(got, encode(&merge_encoded(blobs, 2).unwrap()));
-            assert_eq!(got, encode(&merge_reduction_tree(ts, 2)));
+            assert_eq!(got, encode(&merge_sequential(ts, 2)));
         }
 
         /// Merging conserves metric totals.
         fn merge_conserves_totals(ts in vec(arb_cct(), 0..12)) {
             let want0: u64 = ts.iter().map(|t| t.total(0)).sum();
             let want1: u64 = ts.iter().map(|t| t.total(1)).sum();
-            let merged = merge_reduction_tree(ts, 2);
+            let merged = merge_sequential(ts, 2);
             assert_eq!(merged.total(0), want0);
             assert_eq!(merged.total(1), want1);
-        }
-
-        /// The parallel reduction tree matches the sequential fold.
-        fn tree_matches_sequential(ts in vec(arb_cct(), 0..10)) {
-            let tree = merge_reduction_tree(ts.clone(), 2);
-            let seq = merge_sequential(ts, 2);
-            assert_eq!(tree.canonical(), seq.canonical());
         }
 
         /// Inclusive(root) equals the metric total, for every column.

@@ -3,70 +3,49 @@
 //! The paper's post-mortem analyzer merges per-thread profiles across
 //! threads and processes with an MPI reduction tree so that merge time
 //! grows logarithmically with parallelism (§4.2, citing Tallent et al.).
-//! Our in-memory equivalent is [`merge_reduction_tree`], a fork-join
-//! binary reduction tree: halves of the profile list merge recursively
-//! in parallel. Merging is associative and commutative on canonical tree
-//! content, so the parallel reduction is deterministic in everything
-//! observable.
+//! Here that tree is the serving tier's ranks → owning shard → router
+//! combine (DESIGN.md, "Sharded scatter-gather: the distributed
+//! reduction tree"). In memory there is no tree: [`merge_sequential`]
+//! folds the trees left to right into the first one. A fork-join
+//! reduction tree measured slower on every paper-size analysis, with
+//! identical encoded bytes (`reproduce T1 F4/5 F8/9 F10 F11`, 2-core
+//! host):
+//!
+//! | trees merged | fork-join tree | sequential fold |
+//! | --- | --- | --- |
+//! | 120 | 206 µs | 53 µs |
+//! | 240 | 693 µs | 310 µs |
+//! | 245 | 346 µs | 57 µs |
+//! | 1460 | 1629 µs | 1419 µs |
 //!
 //! [`merge_encoded`] takes *encoded* profiles instead and folds them
 //! into one accumulator in input order, streaming each blob in via
 //! [`crate::codec::merge_into`] without materializing it, so peak memory
 //! is a single merged profile — not O(sum of all K inputs) — which is
 //! what lets a post-mortem pass over thousands of per-thread profiles
-//! run on a laptop. It deliberately builds no tree: a reduction over
-//! encoded blobs has to decode every leaf pair into a fresh `Cct` (every
-//! node allocated, a new index grown) and then merge those trees back
-//! up, and on a 2-core host that made the serving daemon's racing
-//! dashboard refresh ~6x slower (median 17.7 ms vs 3.0 ms) than this
+//! run on a laptop. It builds no tree either: a reduction over encoded
+//! blobs has to decode every leaf pair into a fresh `Cct` (every node
+//! allocated, a new index grown) and then merge those trees back up, and
+//! on a 2-core host that made the serving daemon's racing dashboard
+//! refresh ~6x slower (median 17.7 ms vs 3.0 ms) than this
 //! one-accumulator fold. Folding contiguous chunks in parallel on the
-//! fork-join pool measured within ~15 % of the single fold there
-//! (faster median, slower tail) and would put the pool back on the
-//! daemon's read path, so it is not used. Both walks visit nodes in
-//! creation order, so every path here produces byte-identical
-//! re-encodings (a property the tests pin).
+//! pool measured within ~15 % of the single fold there (faster median,
+//! slower tail) and would put the pool back on the daemon's read path,
+//! so it is not used. Every merge path appends first-touch nodes in
+//! the walked operand's creation order, so any bracketing of the same
+//! operand order produces byte-identical re-encodings (a property the
+//! tests pin).
 
 use std::sync::Arc;
 
 use dcp_support::bytes::Bytes;
-use dcp_support::pool::join;
 
 use crate::codec::{merge_into, CodecError};
 use crate::tree::Cct;
 
-/// Merge a list of profiles with a binary reduction tree. Returns an
-/// empty tree of `width` columns when the list is empty.
-pub fn merge_reduction_tree(mut profiles: Vec<Cct>, width: usize) -> Cct {
-    match profiles.len() {
-        0 => Cct::new(width),
-        1 => profiles.pop().expect("len checked"),
-        _ => reduce(profiles),
-    }
-}
-
-fn reduce(mut profiles: Vec<Cct>) -> Cct {
-    debug_assert!(profiles.len() >= 2);
-    if profiles.len() == 2 {
-        let b = profiles.pop().expect("len 2");
-        let mut a = profiles.pop().expect("len 2");
-        a.merge_from(&b);
-        return a;
-    }
-    let right = profiles.split_off(profiles.len() / 2);
-    let (mut l, r) = join(|| merge_half(profiles), || merge_half(right));
-    l.merge_from(&r);
-    l
-}
-
-fn merge_half(profiles: Vec<Cct>) -> Cct {
-    match profiles.len() {
-        1 => profiles.into_iter().next().expect("len 1"),
-        _ => reduce(profiles),
-    }
-}
-
-/// Sequential fold merge, used as the reference implementation in tests
-/// and as the baseline in the merge-scaling benchmark.
+/// Fold `profiles` left to right into the first one — the in-memory
+/// merge. Returns an empty tree of `width` columns when the list is
+/// empty.
 pub fn merge_sequential(profiles: Vec<Cct>, width: usize) -> Cct {
     let mut it = profiles.into_iter();
     let mut acc = it.next().unwrap_or_else(|| Cct::new(width));
@@ -81,7 +60,7 @@ pub fn merge_sequential(profiles: Vec<Cct>, width: usize) -> Cct {
 /// fresh accumulator of `width` columns, without ever materializing an
 /// input tree. Re-encoding
 /// the result is byte-identical to decoding everything up front and
-/// merging in memory, by [`merge_sequential`] or [`merge_reduction_tree`].
+/// merging in memory with [`merge_sequential`].
 /// Fails with the decode error of the first bad blob in input order.
 pub fn merge_encoded(blobs: Vec<Bytes>, width: usize) -> Result<Cct, CodecError> {
     let mut acc = Cct::new(width);
@@ -223,18 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn tree_merge_equals_sequential() {
-        let mk = || (0..17).map(|s| make_profile(s, 23)).collect::<Vec<_>>();
-        let tree = merge_reduction_tree(mk(), 2);
-        let seq = merge_sequential(mk(), 2);
-        assert_eq!(tree.canonical(), seq.canonical());
-        assert_eq!(tree.total(0), seq.total(0));
-        assert_eq!(tree.total(1), seq.total(1));
-    }
-
-    #[test]
     fn empty_input_yields_empty_tree() {
-        let t = merge_reduction_tree(Vec::new(), 4);
+        let t = merge_sequential(Vec::new(), 4);
         assert!(t.is_empty());
         assert_eq!(t.width(), 4);
     }
@@ -243,7 +212,7 @@ mod tests {
     fn single_profile_passthrough() {
         let p = make_profile(3, 5);
         let want = p.canonical();
-        let got = merge_reduction_tree(vec![p], 2);
+        let got = merge_sequential(vec![p], 2);
         assert_eq!(got.canonical(), want);
     }
 
@@ -252,24 +221,9 @@ mod tests {
         let profiles: Vec<Cct> = (0..64).map(|s| make_profile(s, 11)).collect();
         let want0: u64 = profiles.iter().map(|p| p.total(0)).sum();
         let want1: u64 = profiles.iter().map(|p| p.total(1)).sum();
-        let merged = merge_reduction_tree(profiles, 2);
+        let merged = merge_sequential(profiles, 2);
         assert_eq!(merged.total(0), want0);
         assert_eq!(merged.total(1), want1);
-    }
-
-    #[test]
-    fn oversubscribed_pool_merges_correctly() {
-        // Far more profiles than the pool has workers (the pool is sized
-        // from DCP_THREADS or the core count — single digits either way),
-        // so the reduction tree must queue, steal, and help without
-        // deadlocking, and still match the sequential fold.
-        let n = 512 * dcp_support::pool::parallelism();
-        let mk = || (0..n as u64).map(|s| make_profile(s, 7)).collect::<Vec<_>>();
-        let tree = merge_reduction_tree(mk(), 2);
-        let seq = merge_sequential(mk(), 2);
-        assert_eq!(tree.canonical(), seq.canonical());
-        assert_eq!(tree.total(0), seq.total(0));
-        assert_eq!(tree.total(1), seq.total(1));
     }
 
     #[test]
@@ -277,7 +231,7 @@ mod tests {
         // 64 threads with identical path sets coalesce to one path set.
         let profiles: Vec<Cct> = (0..64).map(|_| make_profile(1, 23)).collect();
         let one_size = profiles[0].len();
-        let merged = merge_reduction_tree(profiles, 2);
+        let merged = merge_sequential(profiles, 2);
         assert_eq!(merged.len(), one_size, "identical profiles must fully coalesce");
     }
 
@@ -285,23 +239,22 @@ mod tests {
     fn streamed_merge_is_byte_identical_to_in_memory() {
         // The acceptance bar: out-of-core and in-memory merges must not
         // just agree canonically — their re-encodings must be the same
-        // bytes. 37 forces an uneven in-memory reduction tree.
+        // bytes.
         let profiles: Vec<Cct> = (0..37).map(|s| make_profile(s, 13)).collect();
         let blobs: Vec<Bytes> = profiles.iter().map(encode).collect();
-        let in_mem = merge_reduction_tree(profiles, 2);
+        let in_mem = merge_sequential(profiles, 2);
         let streamed = merge_encoded(blobs, 2).expect("valid blobs");
         assert_eq!(encode(&streamed), encode(&in_mem));
     }
 
     #[test]
-    fn streamed_merge_oversubscribed_pool_is_byte_identical() {
-        // 512 profiles per worker: the in-memory reduction must queue,
-        // steal, and help without deadlocking, and the streamed fold must
-        // still produce its exact bytes.
+    fn streamed_merge_of_many_profiles_is_byte_identical() {
+        // Hundreds of profiles per pool slot: the streamed fold must
+        // still produce the exact bytes of the in-memory fold.
         let n = 512 * dcp_support::pool::parallelism();
         let profiles: Vec<Cct> = (0..n as u64).map(|s| make_profile(s, 5)).collect();
         let blobs: Vec<Bytes> = profiles.iter().map(encode).collect();
-        let in_mem = merge_reduction_tree(profiles, 2);
+        let in_mem = merge_sequential(profiles, 2);
         let streamed = merge_encoded(blobs, 2).expect("valid blobs");
         assert_eq!(encode(&streamed), encode(&in_mem));
     }
@@ -315,7 +268,7 @@ mod tests {
             .enumerate()
             .map(|(i, p)| if i % 2 == 0 { encode(p) } else { encode_v1(p) })
             .collect();
-        let in_mem = merge_reduction_tree(profiles, 2);
+        let in_mem = merge_sequential(profiles, 2);
         let streamed = merge_encoded(blobs, 2).expect("valid blobs");
         assert_eq!(encode(&streamed), encode(&in_mem));
     }

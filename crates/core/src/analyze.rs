@@ -6,7 +6,7 @@
 //! line maps — producing the [`Analysis`] the presentation views render.
 
 use dcp_cct::{
-    encode_named, merge_encoded, merge_reduction_tree, Cct, CodecError, Frame, NodeId,
+    encode_named, merge_encoded, merge_sequential, Cct, CodecError, Frame, NodeId,
     ProfileNames, ROOT,
 };
 use dcp_runtime::ir::{Ip, ProcId, Program};
@@ -334,7 +334,7 @@ impl<'p> Analysis<'p> {
         }
         let mut it = per_class.into_iter();
         let trees = std::array::from_fn(|_| {
-            merge_reduction_tree(it.next().expect("CLASSES trees"), WIDTH)
+            merge_sequential(it.next().expect("CLASSES trees"), WIDTH)
         });
         Self { program, trees, alloc_info, stats }
     }

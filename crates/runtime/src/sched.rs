@@ -12,9 +12,10 @@
 //! sequentially in key order — real L3 lookups, DRAM queueing, page
 //! placement, allocation, fork/join and sample delivery all happen there.
 //!
-//! The shards themselves run via [`dcp_support::pool::par_chunks_mut`],
-//! so with `DCP_THREADS=N` they execute on N host workers — and with 0
-//! workers the very same code runs sequentially in shard order. Event
+//! The shards themselves run via [`dcp_support::pool::par_map_mut`],
+//! so with `DCP_THREADS=N` they execute on up to N host threads — and
+//! with no workers, or when the node itself runs as a pool task of a
+//! multi-node world, the very same code runs inline in shard order. Event
 //! keys are a pure function of simulated time, so the committed schedule
 //! (and therefore every latency, counter, placement and PMU sample) is
 //! bit-identical at every `DCP_THREADS` value.
@@ -638,7 +639,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
 
         // Parallel phase: one shard per NUMA domain, each advancing its
         // threads against the frozen snapshot. With zero host workers
-        // `par_chunks_mut` runs the shards sequentially in shard order —
+        // `par_map_mut` runs the shards sequentially in shard order —
         // the committed event order is identical either way because every
         // event carries a simulated-time key.
         {
@@ -663,10 +664,7 @@ impl<'p, O: NodeObserver> NodeSim<'p, O> {
             let (fz, mshards) = machine.split_epoch();
             let mut paired: Vec<(&mut ShardRun<'p>, MachineShard<'_>)> =
                 epoch_runs.iter_mut().zip(mshards).collect();
-            pool::par_chunks_mut(&mut paired, 1, |_, pair| {
-                let (run, shard) = &mut pair[0];
-                run_shard(run, shard, &fz, &cx);
-            });
+            pool::par_map_mut(&mut paired, |(run, shard)| run_shard(run, shard, &fz, &cx));
             let stats: Vec<MachineStats> =
                 paired.iter().map(|(_, sh)| sh.stats.clone()).collect();
             drop(paired);

@@ -1,9 +1,9 @@
 //! The daemon: a TCP accept loop feeding a bounded session pool.
 //!
 //! Sessions run on dedicated OS threads — deliberately NOT on the
-//! fork-join compute pool. A session blocks on socket reads; parking it
-//! on a work-helping pool worker would starve compute (and deadlock
-//! outright under `DCP_THREADS=0`, which has no workers at all). No
+//! compute pool. A session blocks on socket reads, so as a pool task it
+//! would hold a worker for the connection's lifetime and starve compute
+//! (and under `DCP_THREADS=0` the pool has no workers at all). No
 //! request path uses the compute pool: a snapshot fold streams the
 //! pending blobs through `merge_encoded` on the session's own thread.
 //!

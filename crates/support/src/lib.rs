@@ -17,9 +17,10 @@
 //!   aliases (replaces `rustc-hash`),
 //! * [`bytes`] — big-endian byte reader/writer buffers (replaces
 //!   `bytes` in the profile codec and trace collector),
-//! * [`pool`] — a shared fork-join thread pool with work-helping
-//!   [`pool::join`] and [`pool::par_map_mut`] (replaces `rayon` in the
-//!   reduction-tree merge and the world runner),
+//! * [`pool`] — a shared thread pool whose one primitive is a flat
+//!   parallel-for, exposed as the ordered maps [`pool::par_map`] and
+//!   [`pool::par_map_mut`] (replaces `rayon` in profile encoding, the
+//!   epoch scheduler's shards and the world runner),
 //! * [`prop`] — a minimal property-testing framework with the
 //!   [`props!`](crate::props) macro (replaces `proptest`),
 //! * [`ring`] — a consistent-hash ring ([`HashRing`]) for stable
@@ -34,8 +35,8 @@
 //! Everything is deterministic where the consumer needs determinism: the
 //! PRNG is a pure function of its seed, the hasher has no random state,
 //! property cases derive their seeds from the test name, and the pool's
-//! `join`/`par_map_mut` preserve result ordering regardless of how work
-//! is scheduled.
+//! `par_map`/`par_map_mut` return results in input order regardless of
+//! how work is scheduled.
 
 pub mod batch;
 pub mod bytes;

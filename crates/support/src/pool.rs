@@ -1,164 +1,166 @@
-//! Shared fork-join thread pool: work-helping `join` and ordered
-//! parallel maps.
+//! Shared thread pool: one parallel-for over `0..n`, and the ordered
+//! parallel maps built on it.
 //!
-//! This is the in-tree replacement for the two `rayon` primitives the
-//! workspace used: [`join`] drives the reduction-tree profile merge
-//! (the paper's §4.2 scalability mechanism) and [`par_map_mut`] runs
-//! independent node simulations in the world runner.
+//! This is the in-tree replacement for the `rayon` primitives the
+//! workspace used. Every caller is a flat indexed map: [`par_map`]
+//! encodes per-thread profiles, and [`par_map_mut`] runs the epoch
+//! scheduler's per-domain shards and the world runner's nodes.
 //!
-//! Design: a fixed set of worker threads shares one injector queue.
-//! `join(a, b)` publishes `b` to the queue, runs `a` inline, then either
-//! *reclaims* `b` (if no worker got to it — the common case under load,
-//! making sequential execution the graceful degradation mode) or *helps*:
-//! while waiting for a worker to finish `b`, the caller executes other
-//! queued jobs instead of blocking. Helping is what makes nested joins
-//! (the recursive merge tree) deadlock-free with a bounded pool: every
-//! waiter is also an executor, so some runnable job always makes
-//! progress. Jobs live on the forking caller's stack; `join` never
-//! returns — not even by unwinding — until its job has run or been
-//! reclaimed, which is the invariant that makes the lifetime erasure
-//! below sound.
+//! Design: a fixed set of worker threads parks on a pool-owned condvar.
+//! A parallel call publishes one descriptor — the index count `n`, a
+//! claim counter, a settle counter and a lifetime-erased pointer to the
+//! caller's per-index closure — and wakes up to `n - 1` workers. The
+//! caller and the woken workers claim indices with `fetch_add` until the
+//! claim counter passes `n`, and bump the settle counter after each
+//! claimed index has run. Once every index is claimed the caller
+//! unpublishes the descriptor, then waits on a second pool-owned condvar
+//! until the settle count reaches `n`. Every wait re-checks its condition
+//! under the pool lock, so no wake-up is lost and none is timed.
 //!
-//! Panics in either closure are captured and re-raised in the caller
-//! after both sides have settled, so a panicking branch can never strand
-//! a stack job or deadlock a waiter.
+//! At most one descriptor is published at a time. A call made from
+//! inside a pool task (on a worker, or in the caller's own share of a
+//! published call) runs inline, and so does a top-level call made while
+//! another call's descriptor is published, a call over fewer than two
+//! indices, and every call on a pool with no workers. Inline means the
+//! same claim loop over an unpublished descriptor. Results are
+//! positional, so no path can change observable output.
 //!
-//! Determinism: `join` and `par_map_mut` return results positionally, so
-//! observable output never depends on scheduling. The pool size comes
-//! from `DCP_THREADS` (0 forces fully sequential execution) or the
-//! available parallelism.
+//! Panics: every index runs under `catch_unwind`. Only after all `n`
+//! indices have settled is the panic of the lowest panicking index
+//! re-raised in the caller, so a panicking index never strands another.
+//!
+//! The pool size comes from `DCP_THREADS` (0 forces fully sequential
+//! execution) or the available parallelism. A `DCP_THREADS` that is not
+//! a whole number panics at first use of the pool, naming the value.
 
-use std::collections::VecDeque;
+use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::Duration;
 
-/// A unit of work published to the pool. `execute` must be called at
-/// most once; [`StackJob`] enforces that with its `func` slot.
-trait Job {
-    fn execute(&self);
+/// The caller's per-index closure, with its lifetime erased so that a
+/// published [`Task`] can name it.
+type Body = &'static (dyn Fn(usize) + Sync);
+
+/// One parallel-for. Workers co-own it through an `Arc` cloned under
+/// the pool lock; only the closure behind `body` lives on the caller's
+/// stack.
+struct Task {
+    n: usize,
+    /// Points at the caller's `&dyn Fn` local. An `AtomicPtr` only so
+    /// that the descriptor is `Send + Sync`; it is never stored to.
+    body: AtomicPtr<Body>,
+    /// Next index to claim; values `>= n` mean nothing is left. Claims
+    /// publish no data, so `Relaxed` suffices: the read-modify-write alone
+    /// hands each index to exactly one executor.
+    next: AtomicUsize,
+    /// Indices that have finished running, panicked or not. Executors
+    /// increment it `AcqRel` after their index's writes; the caller's
+    /// `Acquire` load of `n` makes all of them visible before it returns.
+    settled: AtomicUsize,
+    /// The lowest panicking index and its payload.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
 }
 
-/// Lifetime-erased pointer to a [`Job`] on some caller's stack. Safety
-/// rests on the `join` invariant: the pointee outlives its presence in
-/// the queue because `join` blocks until the job settles.
-#[derive(Clone, Copy)]
-struct JobRef(*const (dyn Job + 'static));
-
-unsafe impl Send for JobRef {}
-
-impl JobRef {
-    /// # Safety
-    /// Caller must keep `job` alive and pinned until it has executed or
-    /// been removed from every queue.
-    unsafe fn new<'a>(job: &'a (dyn Job + 'a)) -> JobRef {
-        JobRef(std::mem::transmute::<*const (dyn Job + 'a), *const (dyn Job + 'static)>(job))
-    }
-
-    fn execute(self) {
-        unsafe { (*self.0).execute() }
-    }
-
-    fn is(&self, other: &JobRef) -> bool {
-        std::ptr::eq(self.0 as *const u8, other.0 as *const u8)
-    }
-}
-
-/// The forked half of a `join`, living on the forking caller's stack.
-struct StackJob<F, R> {
-    func: Mutex<Option<F>>,
-    result: Mutex<Option<thread::Result<R>>>,
-    done: Condvar,
-}
-
-impl<F, R> StackJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    fn new(f: F) -> Self {
-        Self { func: Mutex::new(Some(f)), result: Mutex::new(None), done: Condvar::new() }
-    }
-
-    fn run_inline(&self) -> thread::Result<R> {
-        let f = self.func.lock().expect("job lock").take().expect("job already executed");
-        catch_unwind(AssertUnwindSafe(f))
+impl Task {
+    /// Claim and run indices until none is left. Returns whether this
+    /// executor settled the last index.
+    fn run(&self) -> bool {
+        let mut last = false;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return last;
+            }
+            // SAFETY: `body` points at the `&dyn Fn` argument of the
+            // `for_each_index` call that made this task. That call does
+            // not return, nor unwind (every index runs under
+            // `catch_unwind`), until `settled` reaches `n`. We claimed
+            // `i < n`, and `settled` cannot reach `n` before our own
+            // increment for `i` below, which comes after the last use of
+            // `body`. A late executor that claims `i >= n` never gets here.
+            let body: &(dyn Fn(usize) + Sync) = unsafe { *self.body.load(Ordering::Relaxed) };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
+                let mut slot = self.panic.lock().expect("panic slot");
+                if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *slot = Some((i, payload));
+                }
+            }
+            last = self.settled.fetch_add(1, Ordering::AcqRel) + 1 == self.n;
+        }
     }
 }
 
-impl<F, R> Job for StackJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    fn execute(&self) {
-        let r = self.run_inline();
-        *self.result.lock().expect("result lock") = Some(r);
-        self.done.notify_all();
-    }
+struct State {
+    /// The published call, if any.
+    task: Option<Arc<Task>>,
+    /// Bumped on every publish, so a worker takes each task once.
+    generation: u64,
 }
 
 struct Pool {
-    queue: Mutex<VecDeque<JobRef>>,
-    work_ready: Condvar,
+    state: Mutex<State>,
+    /// Workers wait here for a new generation.
+    work: Condvar,
+    /// Callers wait here for their task to settle.
+    done: Condvar,
     workers: usize,
 }
 
-impl Pool {
-    fn push(&self, job: JobRef) {
-        self.queue.lock().expect("queue lock").push_back(job);
-        self.work_ready.notify_one();
-    }
-
-    fn try_pop(&self) -> Option<JobRef> {
-        self.queue.lock().expect("queue lock").pop_front()
-    }
-
-    /// Remove `job` from the queue if no worker has claimed it yet.
-    fn try_reclaim(&self, job: &JobRef) -> bool {
-        let mut q = self.queue.lock().expect("queue lock");
-        if let Some(pos) = q.iter().position(|j| j.is(job)) {
-            q.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
+thread_local! {
+    /// Set on pool workers, and on a caller while it runs its share of a
+    /// published call: a parallel call made there runs inline.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = match std::env::var("DCP_THREADS") {
-            Ok(v) => v.parse::<usize>().unwrap_or(0),
-            Err(_) => thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        let workers = match std::env::var_os("DCP_THREADS") {
+            None => thread::available_parallelism().map_or(1, |n| n.get()),
+            Some(v) => v.to_str().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                panic!("DCP_THREADS={v:?} is not a thread count (a whole number, 0 = sequential)")
+            }),
         }
         .saturating_sub(1);
-        let p = Pool { queue: Mutex::new(VecDeque::new()), work_ready: Condvar::new(), workers };
         for i in 0..workers {
             thread::Builder::new()
                 .name(format!("dcp-pool-{i}"))
                 .spawn(worker_loop)
                 .expect("spawn pool worker");
         }
-        p
+        Pool {
+            state: Mutex::new(State { task: None, generation: 0 }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            workers,
+        }
     })
 }
 
 fn worker_loop() {
     let p = pool();
+    IN_TASK.set(true);
+    let mut seen = 0;
     loop {
-        let job = {
-            let mut q = p.queue.lock().expect("queue lock");
+        let task = {
+            let mut s = p.state.lock().expect("pool lock");
             loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
+                if s.generation != seen {
+                    if let Some(t) = &s.task {
+                        seen = s.generation;
+                        break Arc::clone(t);
+                    }
                 }
-                q = p.work_ready.wait(q).expect("queue lock");
+                s = p.work.wait(s).expect("pool lock");
             }
         };
-        job.execute();
+        if task.run() {
+            let _s = p.state.lock().expect("pool lock");
+            p.done.notify_all();
+        }
     }
 }
 
@@ -168,72 +170,64 @@ pub fn parallelism() -> usize {
     pool().workers + 1
 }
 
-/// Run two closures, potentially in parallel, and return both results.
-///
-/// `b` is offered to the pool while the calling thread runs `a`; the
-/// caller then reclaims `b` if it is still unclaimed, or helps execute
-/// other pool jobs until a worker finishes it. A panic in either closure
-/// propagates to the caller (left side first) only after both sides have
-/// settled.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
+/// Run `body(i)` for every `i` in `0..n`, potentially in parallel, and
+/// return once all of them have run. A panic in any of them is re-raised
+/// here after all `n` have settled.
+fn for_each_index(n: usize, body: &(dyn Fn(usize) + Sync)) {
     let p = pool();
-    if p.workers == 0 {
-        // No pool: sequential execution with the same contract as the
-        // parallel path — both sides settle before a panic propagates.
-        let ra = catch_unwind(AssertUnwindSafe(a));
-        let rb = catch_unwind(AssertUnwindSafe(b));
-        return match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(pa), _) => resume_unwind(pa),
-            (_, Err(pb)) => resume_unwind(pb),
-        };
-    }
-
-    let job = StackJob::new(b);
-    // SAFETY: `job` stays on this stack frame and we do not return (even
-    // on panic — `a` runs under catch_unwind) before the job has either
-    // been reclaimed below or fully executed by a worker.
-    let jref = unsafe { JobRef::new(&job) };
-    p.push(jref);
-
-    let ra = catch_unwind(AssertUnwindSafe(a));
-
-    let rb = if p.try_reclaim(&jref) {
-        job.run_inline()
-    } else {
-        // A worker claimed the job: help run other queued work while it
-        // finishes, so nested joins on a bounded pool cannot deadlock.
-        loop {
-            if let Some(r) = job.result.lock().expect("result lock").take() {
-                break r;
-            }
-            if let Some(other) = p.try_pop() {
-                other.execute();
-                continue;
-            }
-            let guard = job.result.lock().expect("result lock");
-            let (mut guard, _timeout) = job
-                .done
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("result lock");
-            if let Some(r) = guard.take() {
-                break r;
-            }
-            // Timed out: loop around and try helping again.
+    let task = Arc::new(Task {
+        n,
+        body: AtomicPtr::new((&body as *const &(dyn Fn(usize) + Sync)).cast::<Body>().cast_mut()),
+        next: AtomicUsize::new(0),
+        settled: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    });
+    let published = n > 1 && p.workers > 0 && !IN_TASK.get() && {
+        let mut s = p.state.lock().expect("pool lock");
+        let free = s.task.is_none();
+        if free {
+            s.task = Some(Arc::clone(&task));
+            s.generation += 1;
         }
+        free
     };
-
-    match (ra, rb) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(pa), _) => resume_unwind(pa),
-        (_, Err(pb)) => resume_unwind(pb),
+    if published {
+        for _ in 0..p.workers.min(n - 1) {
+            p.work.notify_one();
+        }
+        IN_TASK.set(true);
+        task.run();
+        IN_TASK.set(false);
+        let mut s = p.state.lock().expect("pool lock");
+        s.task = None;
+        while task.settled.load(Ordering::Acquire) < n {
+            s = p.done.wait(s).expect("pool lock");
+        }
+    } else {
+        task.run();
     }
+    let panic = task.panic.lock().expect("panic slot").take();
+    if let Some((_, payload)) = panic {
+        resume_unwind(payload);
+    }
+}
+
+/// Run `f` once per input on the pool, returning results in input order.
+fn map_each<I: Send, R: Send>(
+    inputs: impl Iterator<Item = I>,
+    f: impl Fn(I) -> R + Sync,
+) -> Vec<R> {
+    let inputs: Vec<Mutex<Option<I>>> = inputs.map(|x| Mutex::new(Some(x))).collect();
+    let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    for_each_index(inputs.len(), &|i| {
+        let x = inputs[i].lock().expect("input slot").take().expect("each index runs once");
+        let r = f(x);
+        *outputs[i].lock().expect("output slot") = Some(r);
+    });
+    outputs
+        .into_iter()
+        .map(|r| r.into_inner().expect("output slot").expect("every index ran"))
+        .collect()
 }
 
 /// Map `f` over `items` in parallel, returning results in input order.
@@ -243,103 +237,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    fn rec<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(items: &[T], f: &F) -> Vec<R> {
-        if items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let (l, r) = items.split_at(items.len() / 2);
-        let (mut lv, rv) = join(|| rec(l, f), || rec(r, f));
-        lv.extend(rv);
-        lv
-    }
-    rec(items, &f)
+    map_each(items.iter(), f)
 }
 
 /// Map `f` over mutable `items` in parallel, returning results in input
-/// order. Used by the world runner: each node simulation mutates its
-/// own state, and the split-at-mid recursion guarantees disjoint
-/// borrows.
+/// order. Each index borrows only its own item, so callers can hand out
+/// disjoint mutable state (a node, a shard) per index.
 pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(&mut T) -> R + Sync,
 {
-    fn rec<T: Send, R: Send, F: Fn(&mut T) -> R + Sync>(items: &mut [T], f: &F) -> Vec<R> {
-        if items.len() <= 1 {
-            return items.iter_mut().map(f).collect();
-        }
-        let mid = items.len() / 2;
-        let (l, r) = items.split_at_mut(mid);
-        let (mut lv, rv) = join(|| rec(l, f), || rec(r, f));
-        lv.extend(rv);
-        lv
-    }
-    rec(items, &f)
-}
-
-/// Run `f` over consecutive chunks of `items` (each at most `chunk`
-/// elements, the last possibly shorter), potentially in parallel, and
-/// return one result per chunk in chunk order. `f` also receives the
-/// chunk index so callers can key deterministic work off position.
-///
-/// This is the scoped parallel-for used by the epoch scheduler: each
-/// simulated-socket shard is one chunk, borrows stay on the caller's
-/// stack, and the result vector's order is a pure function of the input
-/// — never of host scheduling.
-pub fn par_chunks_mut<T, R, F>(items: &mut [T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    fn rec<T: Send, R: Send, F: Fn(usize, &mut [T]) -> R + Sync>(
-        items: &mut [T],
-        chunk: usize,
-        base: usize,
-        f: &F,
-    ) -> Vec<R> {
-        let chunks = items.len().div_ceil(chunk);
-        if chunks <= 1 {
-            if items.is_empty() {
-                return Vec::new();
-            }
-            return vec![f(base, items)];
-        }
-        // Split at a chunk boundary so indices stay aligned.
-        let mid_chunks = chunks / 2;
-        let (l, r) = items.split_at_mut(mid_chunks * chunk);
-        let (mut lv, rv) = join(
-            || rec(l, chunk, base, f),
-            || rec(r, chunk, base + mid_chunks, f),
-        );
-        lv.extend(rv);
-        lv
-    }
-    rec(items, chunk, 0, &f)
-}
-
-/// Parallel map-reduce with a *stable* reduction order: `map` runs over
-/// the items potentially in parallel, and the per-item results are folded
-/// strictly left-to-right in input order, exactly as
-/// `items.iter().map(map).reduce(fold)` would. Returns `None` for an
-/// empty input.
-///
-/// Only the map runs in parallel; the fold walks the position-ordered
-/// result vector on the calling thread. A tree-shaped fold would be
-/// faster asymptotically but is only equivalent for *associative*
-/// folds — the simulator cannot assume that, and the map is where the
-/// work is, so sequential folding buys exact left-fold semantics (and
-/// with it host-scheduling independence) at negligible cost.
-pub fn par_map_reduce<T, R, M, F>(items: &[T], map: M, fold: F) -> Option<R>
-where
-    T: Sync,
-    R: Send,
-    M: Fn(&T) -> R + Sync,
-    F: Fn(R, R) -> R,
-{
-    par_map(items, map).into_iter().reduce(fold)
+    map_each(items.iter_mut(), f)
 }
 
 #[cfg(test)]
@@ -348,38 +258,43 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".to_string());
+    fn par_map_returns_every_result() {
+        let out = par_map(&[0, 1], |&i| (i == 0).then_some(2 + 2).ok_or_else(|| "ok".to_string()));
+        let (a, b) = (out[0].clone().unwrap(), out[1].clone().unwrap_err());
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
     }
 
     #[test]
-    fn join_nests_deeply() {
+    fn par_map_nests_deeply() {
         fn sum(lo: u64, hi: u64) -> u64 {
             if hi - lo <= 64 {
                 return (lo..hi).sum();
             }
             let mid = lo + (hi - lo) / 2;
-            let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-            a + b
+            par_map(&[(lo, mid), (mid, hi)], |&(a, b)| sum(a, b)).into_iter().sum()
         }
         assert_eq!(sum(0, 100_000), 100_000 * 99_999 / 2);
     }
 
     #[test]
-    fn join_borrows_stack_data() {
+    fn par_map_borrows_stack_data() {
         let xs = vec![1u64, 2, 3, 4];
         let ys = vec![10u64, 20];
-        let (sx, sy) = join(|| xs.iter().sum::<u64>(), || ys.iter().sum::<u64>());
-        assert_eq!((sx, sy), (10, 30));
+        let sums = par_map(&[&xs, &ys], |v| v.iter().sum::<u64>());
+        assert_eq!((sums[0], sums[1]), (10, 30));
         drop((xs, ys)); // still owned here
     }
 
     #[test]
-    fn right_side_panic_propagates() {
+    fn last_index_panic_propagates() {
         let r = std::panic::catch_unwind(|| {
-            join(|| 1, || -> i32 { panic!("right boom") });
+            par_map(&[0, 1], |&i| -> i32 {
+                if i == 1 {
+                    panic!("right boom");
+                }
+                1
+            });
         });
         let p = r.expect_err("must propagate");
         let msg = p.downcast_ref::<&str>().copied().unwrap_or("");
@@ -387,33 +302,42 @@ mod tests {
     }
 
     #[test]
-    fn left_side_panic_propagates_after_right_settles() {
+    fn first_index_panic_propagates_after_the_rest_settle() {
         let right_ran = AtomicUsize::new(0);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            join(
-                || -> i32 { panic!("left boom") },
-                || right_ran.fetch_add(1, Ordering::SeqCst),
-            );
+            par_map(&[0, 1], |&i| {
+                if i == 0 {
+                    panic!("left boom");
+                }
+                right_ran.fetch_add(1, Ordering::SeqCst)
+            });
         }));
         assert!(r.is_err());
         assert_eq!(right_ran.load(Ordering::SeqCst), 1, "right side must still run");
     }
 
     #[test]
-    fn both_sides_panicking_does_not_deadlock() {
+    fn every_index_panicking_does_not_deadlock() {
         let r = std::panic::catch_unwind(|| {
-            join(|| -> i32 { panic!("left") }, || -> i32 { panic!("right") });
+            par_map(&[0, 1], |&i| -> i32 { panic!("{}", if i == 0 { "left" } else { "right" }) });
         });
         assert!(r.is_err());
     }
 
     #[test]
-    fn panics_propagate_through_nested_joins() {
+    fn panics_propagate_through_nested_maps() {
         let r = std::panic::catch_unwind(|| {
-            join(
-                || join(|| 1, || -> i32 { panic!("deep boom") }),
-                || 2,
-            );
+            par_map(&[0, 1], |&i| {
+                if i == 0 {
+                    par_map(&[0, 1], |&j| -> i32 {
+                        if j == 1 {
+                            panic!("deep boom");
+                        }
+                        1
+                    });
+                }
+                2
+            });
         });
         assert!(r.is_err());
     }
@@ -438,12 +362,11 @@ mod tests {
 
     #[test]
     fn many_more_tasks_than_workers() {
-        // Oversubscription: far more concurrent joins than pool threads.
+        // Oversubscription: far more indices than pool threads.
         let items: Vec<u64> = (0..4096).collect();
         let out = par_map(&items, |&x| {
             // A little nested parallelism inside each task.
-            let (a, b) = join(|| x, || x + 1);
-            a + b
+            par_map(&[x, x + 1], |&y| y).into_iter().sum::<u64>()
         });
         let want: Vec<u64> = (0..4096).map(|x| 2 * x + 1).collect();
         assert_eq!(out, want);
@@ -456,31 +379,11 @@ mod tests {
         assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
     }
 
-    #[test]
-    fn par_chunks_mut_orders_and_indexes() {
-        let mut items: Vec<u64> = (0..103).collect();
-        let out = par_chunks_mut(&mut items, 10, |idx, chunk| {
-            for x in chunk.iter_mut() {
-                *x *= 2;
-            }
-            (idx, chunk.len())
-        });
-        assert_eq!(items, (0..103).map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(out.len(), 11);
-        for (i, &(idx, len)) in out.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(len, if i == 10 { 3 } else { 10 });
-        }
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_chunks_mut(&mut Vec::from(empty), 4, |_, _| 0).is_empty());
-    }
-
-    /// Satellite: the scoped parallel-for's reduction order must be
-    /// stable under pool oversubscription — 512 tasks folded with a
-    /// deliberately non-commutative operation give the exact sequential
-    /// answer every time, for any worker count (`scripts/verify.sh`
-    /// additionally runs this under `DCP_THREADS=2` to pin the
-    /// 512-task/2-worker case from the issue).
+    /// The maps' reduction order must be stable under pool
+    /// oversubscription — 512 tasks folded with a deliberately
+    /// non-commutative operation give the exact sequential answer every
+    /// time, for any worker count (`scripts/verify.sh` also runs the
+    /// pool tests at 0 and 8 workers).
     #[test]
     fn reduction_order_stable_under_oversubscription() {
         let items: Vec<u64> = (1..=512).collect();
@@ -489,15 +392,16 @@ mod tests {
         let fold = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
         let expect = items.iter().map(|&x| x * 7).reduce(fold).unwrap();
         for _ in 0..8 {
-            let got = par_map_reduce(&items, |&x| x * 7, fold).unwrap();
+            let got = par_map(&items, |&x| x * 7).into_iter().reduce(fold).unwrap();
             assert_eq!(got, expect, "reduction order must not depend on scheduling");
         }
-        // Same stability for the chunked mutable form: chunk results
-        // concatenate in chunk order.
+        // Same stability for the mutable form over indexed chunks: chunk
+        // results come back in chunk order.
         for _ in 0..8 {
             let mut v: Vec<u64> = (1..=512).collect();
-            let per_chunk = par_chunks_mut(&mut v, 3, |idx, c| {
-                (idx as u64).wrapping_mul(131).wrapping_add(c.iter().sum::<u64>())
+            let mut chunks: Vec<(usize, &mut [u64])> = v.chunks_mut(3).enumerate().collect();
+            let per_chunk = par_map_mut(&mut chunks, |(idx, c)| {
+                (*idx as u64).wrapping_mul(131).wrapping_add(c.iter().sum::<u64>())
             });
             let folded = per_chunk.into_iter().reduce(fold).unwrap();
             let mut w: Vec<u64> = (1..=512).collect();
@@ -508,14 +412,5 @@ mod tests {
                 .collect();
             assert_eq!(folded, seq.into_iter().reduce(fold).unwrap());
         }
-    }
-
-    #[test]
-    fn par_map_reduce_matches_sequential() {
-        let items: Vec<i64> = (0..1000).collect();
-        let got = par_map_reduce(&items, |&x| x - 500, |a, b| a + b);
-        assert_eq!(got, Some((0..1000).map(|x| x - 500).sum()));
-        let empty: Vec<i64> = Vec::new();
-        assert_eq!(par_map_reduce(&empty, |&x| x, |a, b| a + b), None);
     }
 }

@@ -10,13 +10,12 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 
 # The thread pool reads DCP_THREADS once per process, so each pool shape
-# needs its own test-process run: sequential (0), fixed (8), and the
-# default (core count) already covered by the workspace run above. The
-# streamed merge is one sequential fold and uses no pool; these legs
-# vary the pool under its oracle, the in-memory fork-join reduction
-# tree, which the `streamed*` tests compare it with byte for byte.
-DCP_THREADS=0 cargo test -q --offline -p dcp-cct streamed
-DCP_THREADS=8 cargo test -q --offline -p dcp-cct streamed
+# needs its own test-process run. The workspace run above covers the
+# default (core count), and `pool_stress` re-runs itself at 2 and 8
+# workers; these legs run the pool's own tests with no workers (every
+# call inline on the caller) and oversubscribed at 8.
+DCP_THREADS=0 cargo test -q --offline -p dcp-support pool
+DCP_THREADS=8 cargo test -q --offline -p dcp-support pool
 
 # Lint stage: the hot-path rewrite is held warning-free.
 cargo clippy --workspace --release --offline -- -D warnings

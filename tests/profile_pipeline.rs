@@ -1,7 +1,7 @@
 //! Integration tests of the measurement→serialization→merge pipeline on
 //! real profiler output (not synthetic trees).
 
-use dcp_cct::{decode, encode, encode_v1, merge_encoded, merge_reduction_tree};
+use dcp_cct::{decode, encode, encode_v1, merge_encoded, merge_sequential};
 use dcp_core::prelude::*;
 use dcp_core::MeasurementData;
 use dcp_machine::{MachineConfig, PmuConfig};
@@ -61,7 +61,7 @@ fn merge_conserves_real_metrics() {
         measurements.into_iter().flat_map(|mut m| std::mem::take(&mut m.profiles[1])).collect();
     let per_tree_samples: u64 = heap_trees.iter().map(|t| t.total(0)).sum();
     let per_tree_latency: u64 = heap_trees.iter().map(|t| t.total(1)).sum();
-    let merged = merge_reduction_tree(heap_trees, dcp_core::METRIC_WIDTH);
+    let merged = merge_sequential(heap_trees, dcp_core::METRIC_WIDTH);
     assert_eq!(merged.total(0), per_tree_samples);
     assert_eq!(merged.total(1), per_tree_latency);
     assert!(per_tree_samples <= samples);
@@ -93,7 +93,7 @@ fn merged_profile_is_compact() {
         measurements.into_iter().flat_map(|mut m| std::mem::take(&mut m.profiles[1])).collect();
     let n_trees = heap_trees.len();
     let sum_nodes: usize = heap_trees.iter().map(|t| t.len()).sum();
-    let merged = merge_reduction_tree(heap_trees, dcp_core::METRIC_WIDTH);
+    let merged = merge_sequential(heap_trees, dcp_core::METRIC_WIDTH);
     assert!(n_trees >= 8);
     assert!(
         merged.len() * (n_trees / 2) < sum_nodes,
@@ -141,7 +141,7 @@ fn streamed_merge_of_real_profiles_is_byte_identical() {
     let heap_trees: Vec<_> =
         measurements.into_iter().flat_map(|mut m| std::mem::take(&mut m.profiles[1])).collect();
     let blobs: Vec<_> = heap_trees.iter().map(encode).collect();
-    let in_mem = merge_reduction_tree(heap_trees, dcp_core::METRIC_WIDTH);
+    let in_mem = merge_sequential(heap_trees, dcp_core::METRIC_WIDTH);
     let streamed = merge_encoded(blobs, dcp_core::METRIC_WIDTH).expect("valid profiles");
     assert_eq!(encode(&streamed), encode(&in_mem));
 }
