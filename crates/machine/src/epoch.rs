@@ -514,6 +514,8 @@ mod tests {
 
     /// Run one access through the epoch pipeline with an immediate
     /// commit, returning what the serial pipeline would have returned.
+    /// The access is alone in its epoch, so its commit key needs no
+    /// sequence tiebreak.
     fn epoch_access(
         m: &mut Machine,
         core: CoreId,
@@ -522,14 +524,12 @@ mod tests {
         home: DomainId,
         pc: u64,
         now: Cycles,
-        seq: u64,
     ) -> AccessResult {
         let dom = m.topology().domain_of(core).0 as usize;
         let (fz, mut shards) = m.split_epoch();
-        let out = shards[dom].access(&fz, core, vaddr, kind, home, pc, now, (now, core.0, seq));
+        let out = shards[dom].access(&fz, core, vaddr, kind, home, pc, now, (now, core.0, 0));
         let stats: Vec<MachineStats> = shards.iter().map(|s| s.stats.clone()).collect();
         drop(shards);
-        drop(fz);
         for s in &stats {
             m.merge_stats(s);
         }
@@ -567,7 +567,7 @@ mod tests {
             // from serial timing) stays cold.
             let vaddr = 0x10_0000 + (i % 60) * 8192;
             let a = serial.access(core, vaddr, kind, home, 7, t);
-            let b = epoch_access(&mut epoch, core, vaddr, kind, home, 7, t, i);
+            let b = epoch_access(&mut epoch, core, vaddr, kind, home, 7, t);
             assert_eq!(a.latency, b.latency, "access {i}");
             assert_eq!(a.source, b.source, "access {i}");
             assert_eq!(a.tlb_miss, b.tlb_miss, "access {i}");
@@ -583,9 +583,9 @@ mod tests {
     fn cross_shard_store_visible_next_epoch() {
         let mut m = Machine::new(MachineConfig::tiny_test());
         // Core 0 (domain 0) writes; commits immediately.
-        epoch_access(&mut m, CoreId(0), 0x4000, AccessKind::Store, DomainId(0), 1, 0, 0);
+        epoch_access(&mut m, CoreId(0), 0x4000, AccessKind::Store, DomainId(0), 1, 0);
         // Core 2 (domain 1) reads next epoch: cache-to-cache transfer.
-        let r = epoch_access(&mut m, CoreId(2), 0x4000, AccessKind::Load, DomainId(0), 2, 50, 1);
+        let r = epoch_access(&mut m, CoreId(2), 0x4000, AccessKind::Load, DomainId(0), 2, 50);
         assert_eq!(r.source, DataSource::RemoteL3);
     }
 

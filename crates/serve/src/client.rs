@@ -27,7 +27,6 @@ use crate::wire::{
 /// A connected client. One request/response in flight at a time.
 pub struct Client {
     stream: TcpStream,
-    max_frame: u64,
 }
 
 impl Client {
@@ -43,7 +42,7 @@ impl Client {
         stream.set_read_timeout(Some(timeout))?;
         // Request/response over small frames: Nagle only adds latency.
         stream.set_nodelay(true)?;
-        Ok(Self { stream, max_frame: MAX_FRAME })
+        Ok(Self { stream })
     }
 
     /// One round trip: write the request frame, read exactly one
@@ -64,7 +63,7 @@ impl Client {
     pub fn call_raw(&mut self, req: &Request) -> Result<Response, ServeError> {
         let (k, body) = encode_request(req);
         write_frame(&mut self.stream, k, &body)?;
-        let (rk, rbody) = read_frame(&mut self.stream, self.max_frame)?
+        let (rk, rbody) = read_frame(&mut self.stream, MAX_FRAME)?
             .ok_or_else(|| ServeError::Io("connection closed before response".to_string()))?;
         parse_response(rk, rbody)
     }
@@ -187,7 +186,7 @@ impl IngestPipeline<'_> {
     fn read_ack(&mut self) -> Result<Result<Ack, ServeError>, ServeError> {
         let (expect_set, expect_seq) =
             self.outstanding.pop_front().expect("read_ack with nothing outstanding");
-        let (k, body) = read_frame(&mut self.client.stream, self.client.max_frame)?
+        let (k, body) = read_frame(&mut self.client.stream, MAX_FRAME)?
             .ok_or_else(|| ServeError::Io("connection closed before ack".to_string()))?;
         match parse_response(k, body)? {
             Response::Ok(text) => {

@@ -15,10 +15,13 @@
 //! client.rs  — blocking client; windowed pipelined ingest (W
 //!              outstanding pushes, acks matched FIFO by set/seq)
 //! wire.rs    — "DCPS" frames + request/response bodies (DCP2 varints)
-//! server.rs  — accept loop, session thread pool, graceful drain,
-//!              socket read-ahead ingest groups + group-commit acks
-//! router.rs  — scatter-gather coordinator over N shard daemons;
-//!              ingest fans to replicas concurrently
+//! session.rs — the one session loop both binaries run: accept poll,
+//!              session threads, graceful drain, frame read + parse,
+//!              ingest read-ahead groups, PING/SHUTDOWN, drain refusals
+//! server.rs  — the daemon's handler: one store lock per request,
+//!              group-commit acks, post-drain snapshot
+//! router.rs  — the router's handler: scatter-gather over N shard
+//!              daemons; ingest fans to replicas concurrently
 //! query.rs   — verb language -> parse / fetch / render combiner split
 //! store.rs   — named sets, seq reorder, epochs, budget, LRU cache,
 //!              shard partials ("DCPP") for the distributed tree
@@ -46,6 +49,7 @@ pub mod error;
 pub mod query;
 pub mod router;
 pub mod server;
+mod session;
 pub mod store;
 pub mod wal;
 pub mod wire;

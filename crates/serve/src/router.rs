@@ -42,11 +42,14 @@
 //! replica that was down for writes is *not* back-filled — re-pushing
 //! the stream heals it (duplicate seqs answer `DuplicateSeq`), the
 //! same recovery story the durable daemon uses.
+//!
+//! Sessions: the router runs the daemon's session loop
+//! (`session.rs`) with `Core` as its handler. Each session
+//! pools one shard connection per replica address, and ingest is never
+//! read ahead — every INGEST fans out on its own.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,8 +61,9 @@ use dcp_support::{FxHashMap, LruCache};
 use crate::client::Client;
 use crate::error::ServeError;
 use crate::query::{parse_query, render_view, ParsedQuery, ViewQuery};
+use crate::session::{self, err_response, Handler, IngestItem};
 use crate::store::{decode_set_partial, CacheKey};
-use crate::wire::{encode_response, read_frame, write_frame, Request, Response, MAX_FRAME};
+use crate::wire::{Request, Response};
 
 /// Everything tunable about a router instance.
 #[derive(Debug, Clone)]
@@ -71,8 +75,6 @@ pub struct RouterConfig {
     pub shards: Vec<Vec<String>>,
     /// Virtual nodes per shard on the placement ring.
     pub vnodes: u32,
-    /// Largest frame body accepted or fetched.
-    pub max_frame: u64,
     /// Socket read timeout, client-facing and shard-facing.
     pub read_timeout: Duration,
     /// Concurrent session threads.
@@ -88,7 +90,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: Vec::new(),
             vnodes: 64,
-            max_frame: MAX_FRAME,
             read_timeout: Duration::from_secs(10),
             sessions: 4,
             cache_entries: 512,
@@ -165,26 +166,18 @@ struct Conns {
 
 impl Conns {
     fn call(&mut self, addr: &str, req: &Request) -> Result<Response, ServeError> {
-        if !self.map.contains_key(addr) {
-            let c = Client::connect_with_timeout(addr, self.timeout)?;
+        let (conn, out) = call_replica(self.map.remove(addr), addr, self.timeout, req);
+        if let Some(c) = conn {
             self.map.insert(addr.to_string(), c);
         }
-        let conn = self.map.get_mut(addr).expect("just inserted");
-        match conn.call_raw(req) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                // The stream may have lost framing sync; never reuse it.
-                self.map.remove(addr);
-                Err(e)
-            }
-        }
+        out
     }
 }
 
-/// One replica's leg of a concurrent ingest fan-out: dial if no pooled
-/// connection came along, make the call, and hand a still-healthy
-/// connection back for re-pooling (a failed one is dropped — the
-/// stream may have lost framing sync and must never be reused).
+/// One call to one replica: dial if no pooled connection came along,
+/// make the call, and hand a still-healthy connection back for
+/// re-pooling (a failed one is dropped — the stream may have lost
+/// framing sync and must never be reused).
 fn call_replica(
     conn: Option<Client>,
     addr: &str,
@@ -246,9 +239,10 @@ impl Core {
     /// stays in fixed replica order so completion order never changes
     /// the relayed answer: first OK wins; with no OK, the first typed
     /// error is relayed; with neither, the shard is unreachable.
-    fn route_ingest(&self, conns: &mut Conns, set: &str, req: &Request) -> Result<Response, RouteError> {
+    fn route_ingest(&self, conns: &mut Conns, (set, seq, bundle): IngestItem) -> Result<Response, RouteError> {
         self.ingests.fetch_add(1, Ordering::Relaxed);
         let group = self.ring.owner(set.as_bytes()) as usize;
+        let req = &Request::Ingest { set, seq, bundle };
         let replicas = &self.config.shards[group];
         let timeout = conns.timeout;
         // Each replica's pooled connection travels into its thread and
@@ -378,15 +372,7 @@ impl Core {
         // the cache entry is keyed under it.
         let mut snaps = Vec::with_capacity(view.sets.len());
         for (i, (set, group)) in view.sets.iter().zip(&groups).enumerate() {
-            let cached = {
-                let inner = self.inner.lock();
-                inner
-                    .recon
-                    .get(set.as_str())
-                    .filter(|(e, _)| *e == epochs[i])
-                    .map(|(_, s)| Arc::clone(s))
-            };
-            if let Some(snap) = cached {
+            if let Some(snap) = self.reconstructed(set, epochs[i]) {
                 self.partial_reuse.fetch_add(1, Ordering::Relaxed);
                 self.snapshot_reuse.fetch_add(1, Ordering::Relaxed);
                 snaps.push(snap);
@@ -410,15 +396,7 @@ impl Core {
             epochs[i] = partial.epoch;
             // A racing session may have reconstructed this epoch while
             // the partial was in flight.
-            let cached = {
-                let inner = self.inner.lock();
-                inner
-                    .recon
-                    .get(set.as_str())
-                    .filter(|(e, _)| *e == partial.epoch)
-                    .map(|(_, s)| Arc::clone(s))
-            };
-            if let Some(snap) = cached {
+            if let Some(snap) = self.reconstructed(set, partial.epoch) {
                 self.snapshot_reuse.fetch_add(1, Ordering::Relaxed);
                 snaps.push(snap);
                 continue;
@@ -442,6 +420,12 @@ impl Core {
         let cost = key.query.len() + response.len();
         inner.cache.insert(key, response.clone(), cost);
         Ok(response)
+    }
+
+    /// The cached reconstruction of `set`, if it is at `epoch`.
+    fn reconstructed(&self, set: &str, epoch: u64) -> Option<Arc<dcp_core::stored::StoredProfiles>> {
+        let inner = self.inner.lock();
+        inner.recon.get(set).filter(|(e, _)| *e == epoch).map(|(_, s)| Arc::clone(s))
     }
 
     fn route_query(&self, conns: &mut Conns, q: &str) -> Result<String, RouteError> {
@@ -587,58 +571,12 @@ impl Router {
         self.core.ring.owner(set.as_bytes()) as usize
     }
 
-    /// Accept and serve until shutdown, then drain — the same bounded
-    /// session-pool shape as [`crate::server::Server::serve`].
+    /// Accept and serve until shutdown, then drain, through the same
+    /// session loop as [`crate::server::Server::serve`].
     pub fn serve(self) -> Result<(), ServeError> {
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let sessions = self.core.config.sessions.max(1);
-        let mut workers = Vec::with_capacity(sessions);
-        for _ in 0..sessions {
-            let rx = Arc::clone(&rx);
-            let core = Arc::clone(&self.core);
-            let shutdown = Arc::clone(&self.shutdown);
-            workers.push(std::thread::spawn(move || loop {
-                let next = {
-                    let guard = rx.lock();
-                    guard.recv()
-                };
-                match next {
-                    Ok(stream) => handle_conn(stream, &core, &shutdown),
-                    Err(_) => return, // sender dropped: drain complete
-                }
-            }));
-        }
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
+        let (sessions, timeout) = (self.core.config.sessions, self.core.config.read_timeout);
+        session::serve(&self.listener, &self.core, sessions, timeout, &self.shutdown)
     }
-}
-
-fn respond(stream: &mut TcpStream, resp: &Response) -> Result<(), ServeError> {
-    let (k, body) = encode_response(resp);
-    write_frame(stream, k, &body)
-}
-
-fn err_response(e: &ServeError) -> Response {
-    Response::Err(e.code(), e.to_string())
 }
 
 fn route_err(e: RouteError) -> Response {
@@ -648,89 +586,43 @@ fn route_err(e: RouteError) -> Response {
     }
 }
 
-/// Serve one client connection until clean EOF, protocol error, or
-/// shutdown. Shard connections are pooled per session and re-dialed
-/// lazily after any transport failure.
-fn handle_conn(mut stream: TcpStream, core: &Arc<Core>, shutdown: &Arc<AtomicBool>) {
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(core.config.read_timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
+/// Shard connections are pooled per session and re-dialed lazily after
+/// any transport failure. Ingest is never read ahead: each one fans out
+/// on its own.
+impl Handler for Core {
+    type Session = Conns;
+
+    fn session(&self) -> Conns {
+        Conns { map: FxHashMap::default(), timeout: self.config.read_timeout }
     }
-    let mut conns = Conns { map: FxHashMap::default(), timeout: core.config.read_timeout };
-    loop {
-        let frame = match read_frame(&mut stream, core.config.max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(e) => {
-                let _ = respond(&mut stream, &err_response(&e));
-                return;
-            }
-        };
-        let req = match crate::wire::parse_request(frame.0, frame.1) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = respond(&mut stream, &err_response(&e));
-                return;
-            }
-        };
-        let draining = shutdown.load(Ordering::SeqCst);
-        let resp = match req {
-            Request::Ping => Response::Ok("pong".to_string()),
-            Request::Stats => {
+
+    fn ingest_group(&self) -> usize {
+        1
+    }
+
+    fn ingest(&self, conns: &mut Conns, group: Vec<IngestItem>) -> Vec<Response> {
+        group
+            .into_iter()
+            .map(|item| {
                 let start = Instant::now();
-                let text = core.stats_text();
-                core.record("stats", start.elapsed().as_micros() as u64);
-                Response::Ok(text)
+                let out = self.route_ingest(conns, item);
+                self.record("ingest", start.elapsed().as_micros() as u64);
+                out.unwrap_or_else(route_err)
+            })
+            .collect()
+    }
+
+    fn request(&self, conns: &mut Conns, req: Request) -> Response {
+        let start = Instant::now();
+        let (kind, out) = match &req {
+            Request::Stats => ("stats", Ok(Response::Ok(self.stats_text()))),
+            Request::Query(q) => ("query", self.route_query(conns, q).map(Response::Ok)),
+            Request::Epoch(set) | Request::Partial(set) => {
+                ("proxy", self.route_proxy(conns, set, &req))
             }
-            Request::Query(q) => {
-                if draining {
-                    err_response(&ServeError::ShuttingDown)
-                } else {
-                    let start = Instant::now();
-                    let out = core.route_query(&mut conns, &q);
-                    core.record("query", start.elapsed().as_micros() as u64);
-                    match out {
-                        Ok(text) => Response::Ok(text),
-                        Err(e) => route_err(e),
-                    }
-                }
-            }
-            ref req @ Request::Ingest { ref set, .. } => {
-                if draining {
-                    err_response(&ServeError::ShuttingDown)
-                } else {
-                    let start = Instant::now();
-                    let out = core.route_ingest(&mut conns, set, req);
-                    core.record("ingest", start.elapsed().as_micros() as u64);
-                    match out {
-                        Ok(resp) => resp,
-                        Err(e) => route_err(e),
-                    }
-                }
-            }
-            ref req @ (Request::Epoch(ref set) | Request::Partial(ref set)) => {
-                if draining {
-                    err_response(&ServeError::ShuttingDown)
-                } else {
-                    let start = Instant::now();
-                    let out = core.route_proxy(&mut conns, set, req);
-                    core.record("proxy", start.elapsed().as_micros() as u64);
-                    match out {
-                        Ok(resp) => resp,
-                        Err(e) => route_err(e),
-                    }
-                }
-            }
-            Request::Shutdown => {
-                shutdown.store(true, Ordering::SeqCst);
-                let _ = respond(&mut stream, &Response::Ok("draining".to_string()));
-                return;
-            }
+            other => unreachable!("the session loop answers {other:?} itself"),
         };
-        if respond(&mut stream, &resp).is_err() {
-            return;
-        }
+        self.record(kind, start.elapsed().as_micros() as u64);
+        out.unwrap_or_else(route_err)
     }
 }

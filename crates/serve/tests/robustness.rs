@@ -92,15 +92,12 @@ fn corpus() -> Vec<(bool, Vec<u8>)> {
 /// panic or a hang.
 fn grind(is_request: bool, wire: &[u8]) {
     let mut cur = Cursor::new(wire.to_vec());
-    match read_frame(&mut cur, MAX_FRAME) {
-        Ok(Some((k, body))) => {
-            let _ = if is_request {
-                parse_request(k, body).map(|_| ())
-            } else {
-                parse_response(k, body).map(|_| ())
-            };
-        }
-        Ok(None) | Err(_) => {}
+    if let Ok(Some((k, body))) = read_frame(&mut cur, MAX_FRAME) {
+        let _ = if is_request {
+            parse_request(k, body).map(|_| ())
+        } else {
+            parse_response(k, body).map(|_| ())
+        };
     }
 }
 
@@ -213,31 +210,49 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
 
 #[test]
 fn live_server_survives_garbage_and_half_frames() {
-    let (addr, handle) = spawn_server();
+    // The daemon, and a router in front of it: both binaries' client
+    // sides take the same abuse.
+    let (shard, shard_handle) = spawn_server();
+    let router = Router::bind(RouterConfig {
+        shards: vec![vec![shard.clone()]],
+        read_timeout: Duration::from_millis(500),
+        sessions: 2,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let routed = router.local_addr().expect("router addr");
+    let router_handle = std::thread::spawn(move || router.serve().expect("route"));
+    for addr in [&shard, &routed] {
+        survives_garbage_and_half_frames(addr);
+    }
+    shutdown(&routed, router_handle);
+    shutdown(&shard, shard_handle);
+}
 
+fn survives_garbage_and_half_frames(addr: &str) {
     // Garbage bytes: the server answers with an ERR frame or closes;
     // either way this returns within the timeout instead of hanging.
-    let mut s = TcpStream::connect(&addr).expect("connect");
+    let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     s.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write garbage");
-    match read_frame(&mut s, MAX_FRAME) {
-        Ok(Some((k, body))) => match parse_response(k, body).expect("parseable response") {
+    // Closed on us is also acceptable.
+    if let Ok(Some((k, body))) = read_frame(&mut s, MAX_FRAME) {
+        match parse_response(k, body).expect("parseable response") {
             Response::Err(code, _) => assert_eq!(code, ServeError::BadMagic.code()),
             ok => panic!("garbage must not succeed: {ok:?}"),
-        },
-        Ok(None) | Err(_) => {} // closed on us: also acceptable
+        }
     }
     drop(s);
 
     // Half a frame then silence: the per-connection read timeout (500ms
     // here) reclaims the session thread; the server keeps serving.
-    let mut s = TcpStream::connect(&addr).expect("connect");
+    let mut s = TcpStream::connect(addr).expect("connect");
     let wire = frame_bytes(dcp_serve::wire::kind::QUERY, b"sets");
     s.write_all(&wire[..5]).expect("half frame");
     std::thread::sleep(Duration::from_millis(700));
 
     // An oversized length prefix is refused with a typed error.
-    let mut s2 = TcpStream::connect(&addr).expect("connect");
+    let mut s2 = TcpStream::connect(addr).expect("connect");
     s2.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
     let mut huge = Vec::new();
     huge.extend_from_slice(b"DCPS");
@@ -255,11 +270,10 @@ fn live_server_survives_garbage_and_half_frames() {
     drop(s2);
     drop(s);
 
-    // The daemon is still healthy after all of the above.
-    let mut c = Client::connect(&addr).expect("connect");
+    // The server is still healthy after all of the above.
+    let mut c = Client::connect(addr).expect("connect");
     assert_eq!(c.ping().expect("ping"), "pong");
-    drop(c);
-    shutdown(&addr, handle);
+    assert!(c.query("sets").expect("sets").starts_with("PROFILE SETS"));
 }
 
 #[test]
@@ -471,10 +485,10 @@ fn routed_frames_ground_end_to_end_never_yield_wrong_but_ok() {
         .expect("clean script must serve");
     assert_eq!(ok, golden);
 
+    // An error is typed by construction; reaching it is the claim.
     let check = |script: Vec<Vec<u8>>, what: String| {
-        match routed_query_against(script, "export s heap") {
-            Ok(text) => assert_eq!(text, golden, "{what}: wrong-but-OK response"),
-            Err(_) => {} // typed by construction; reaching here is the claim
+        if let Ok(text) = routed_query_against(script, "export s heap") {
+            assert_eq!(text, golden, "{what}: wrong-but-OK response");
         }
     };
 
@@ -527,7 +541,7 @@ fn corrupt_partial_payloads_reconstruct_typed_never_panic() {
     // decode succeeds (the frame is authentic), reconstruct must still
     // fail typed — the state bundle is re-validated end to end.
     use dcp_serve::{decode_set_partial, encode_set_partial, SetPartial};
-    let mut g = SmallRng::seed_from_u64(0x9a97_1a1);
+    let mut g = SmallRng::seed_from_u64(0x09a9_71a1);
     for _ in 0..256 {
         let len = g.gen_range(0usize..64);
         let mut state = Vec::with_capacity(len);

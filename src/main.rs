@@ -37,6 +37,32 @@ struct Args {
     reports: Vec<String>,
 }
 
+/// Why a subcommand failed. A bad command line is followed by the
+/// usage text; a failure while running (a refused bind, a dead daemon,
+/// a typed server error) is reported alone.
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+/// A bare message is a command-line error; failures while running go
+/// through [`run_err`].
+impl From<String> for Fail {
+    fn from(e: String) -> Self {
+        Fail::Usage(e)
+    }
+}
+
+impl From<&str> for Fail {
+    fn from(e: &str) -> Self {
+        Fail::Usage(e.to_string())
+    }
+}
+
+fn run_err(e: impl std::fmt::Display) -> Fail {
+    Fail::Run(e.to_string())
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: memgaze <workload> [options]\n\
@@ -98,7 +124,7 @@ fn usage() -> ExitCode {
 
 /// `memgaze serve [--addr a] [--budget n] [--sessions n] [--data-dir p]
 /// [--snapshot-every n] [--pending-cap n]`.
-fn run_serve(args: &[String]) -> Result<(), String> {
+fn run_serve(args: &[String]) -> Result<(), Fail> {
     let mut cfg = dcp_serve::ServerConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -123,22 +149,22 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 cfg.pending_cap =
                     val(&mut it)?.parse().map_err(|e| format!("bad --pending-cap: {e}"))?
             }
-            other => return Err(format!("unknown serve flag {other:?}")),
+            other => return Err(format!("unknown serve flag {other:?}").into()),
         }
     }
-    let server = dcp_serve::Server::bind(cfg).map_err(|e| e.to_string())?;
+    let server = dcp_serve::Server::bind(cfg).map_err(run_err)?;
     if let Some(report) = server.recovery_report() {
         println!("{report}");
     }
-    println!("serving on {}", server.local_addr().map_err(|e| e.to_string())?);
+    println!("serving on {}", server.local_addr().map_err(run_err)?);
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    server.serve().map_err(|e| e.to_string())
+    server.serve().map_err(run_err)
 }
 
 /// `memgaze route [--addr a] --shard a1[,a2...] [--shard ...] [--vnodes n]
 /// [--sessions n]`.
-fn run_route(args: &[String]) -> Result<(), String> {
+fn run_route(args: &[String]) -> Result<(), Fail> {
     let mut cfg = dcp_serve::RouterConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -158,21 +184,21 @@ fn run_route(args: &[String]) -> Result<(), String> {
             "--sessions" => {
                 cfg.sessions = val(&mut it)?.parse().map_err(|e| format!("bad --sessions: {e}"))?
             }
-            other => return Err(format!("unknown route flag {other:?}")),
+            other => return Err(format!("unknown route flag {other:?}").into()),
         }
     }
     if cfg.shards.is_empty() {
         return Err("route needs at least one --shard group".into());
     }
-    let router = dcp_serve::Router::bind(cfg).map_err(|e| e.to_string())?;
-    println!("routing on {}", router.local_addr().map_err(|e| e.to_string())?);
+    let router = dcp_serve::Router::bind(cfg).map_err(run_err)?;
+    println!("routing on {}", router.local_addr().map_err(run_err)?);
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    router.serve().map_err(|e| e.to_string())
+    router.serve().map_err(run_err)
 }
 
 /// `memgaze push <addr> <set> <workload> [--variant v] [--window n]`.
-fn run_push(args: &[String]) -> Result<(), String> {
+fn run_push(args: &[String]) -> Result<(), Fail> {
     let [addr, set, workload, rest @ ..] = args else {
         return Err("push needs <addr> <set> <workload>".into());
     };
@@ -194,13 +220,13 @@ fn run_push(args: &[String]) -> Result<(), String> {
     let (prog, mut world, pmu) = setup(workload, &variant)?;
     world.sim.pmu = Some(pmu);
     let run = run_profiled(&prog, &world, ProfilerConfig::default());
-    let mut client = dcp_serve::Client::connect(addr).map_err(|e| e.to_string())?;
+    let mut client = dcp_serve::Client::connect(addr).map_err(run_err)?;
     // One bundle per node, pushed in node order over one connection —
     // the same union order the in-process analyzer uses.
     if window <= 1 {
         for m in &run.measurements {
             let bundle = dcp_core::encode_bundle(&dcp_core::bundle_from_measurement(&prog, m));
-            let reply = client.ingest(set, None, bundle).map_err(|e| e.to_string())?;
+            let reply = client.ingest(set, None, bundle).map_err(run_err)?;
             println!("{reply}");
         }
         return Ok(());
@@ -209,39 +235,39 @@ fn run_push(args: &[String]) -> Result<(), String> {
     // group-commit batcher can fold their WAL appends into one fsync.
     // Any per-bundle refusal fails the push with the relayed error.
     let mut pipe = client.pipeline(window);
-    let print_ack = |ack: Result<dcp_serve::Ack, dcp_serve::ServeError>| -> Result<(), String> {
-        let ack = ack.map_err(|e| e.to_string())?;
+    let print_ack = |ack: Result<dcp_serve::Ack, dcp_serve::ServeError>| -> Result<(), Fail> {
+        let ack = ack.map_err(run_err)?;
         println!("{}", dcp_serve::format_ingest_ack(&ack.set, ack.seq, ack.epoch));
         Ok(())
     };
     for m in &run.measurements {
         let bundle = dcp_core::encode_bundle(&dcp_core::bundle_from_measurement(&prog, m));
-        if let Some(ack) = pipe.push(set, None, bundle).map_err(|e| e.to_string())? {
+        if let Some(ack) = pipe.push(set, None, bundle).map_err(run_err)? {
             print_ack(ack)?;
         }
     }
-    for ack in pipe.drain().map_err(|e| e.to_string())? {
+    for ack in pipe.drain().map_err(run_err)? {
         print_ack(ack)?;
     }
     Ok(())
 }
 
 /// `memgaze query <addr> <words...>` — also `ping`, `stats`, `shutdown`.
-fn run_query(args: &[String]) -> Result<(), String> {
+fn run_query(args: &[String]) -> Result<(), Fail> {
     let [addr, words @ ..] = args else {
         return Err("query needs <addr> <query...>".into());
     };
     if words.is_empty() {
         return Err("query needs <addr> <query...>".into());
     }
-    let mut client = dcp_serve::Client::connect(addr).map_err(|e| e.to_string())?;
+    let mut client = dcp_serve::Client::connect(addr).map_err(run_err)?;
     let reply = match (words[0].as_str(), words.len()) {
         ("ping", 1) => client.ping(),
         ("stats", 1) => client.stats(),
         ("shutdown", 1) => client.shutdown(),
         _ => client.query(&words.join(" ")),
     };
-    println!("{}", reply.map_err(|e| e.to_string())?);
+    println!("{}", reply.map_err(run_err)?);
     Ok(())
 }
 
@@ -418,9 +444,13 @@ fn main() -> ExitCode {
     if let Some(result) = sub {
         return match result {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
+            Err(Fail::Usage(e)) => {
                 eprintln!("error: {e}");
                 usage()
+            }
+            Err(Fail::Run(e)) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
             }
         };
     }

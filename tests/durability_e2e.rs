@@ -153,14 +153,12 @@ fn push_until_death(addr: &str, stream: &[(&'static str, u64, Bytes)]) -> HashMa
         }
     }
     if alive {
-        match pipe.drain() {
-            Ok(acks) => {
-                for a in acks.into_iter().flatten() {
-                    *acked.entry(a.set).or_default() += 1;
-                }
-                return acked;
+        // An Err here means it died while the trailing window drained.
+        if let Ok(acks) = pipe.drain() {
+            for a in acks.into_iter().flatten() {
+                *acked.entry(a.set).or_default() += 1;
             }
-            Err(_) => {} // died while the trailing window drained
+            return acked;
         }
     }
     // The kill may have only torn this connection — and either way the
